@@ -5,7 +5,7 @@ stdout, either as short human-readable lines or, with --json, as a single
 JSON document. Artifacts (fitted distributions, generator laws, sample
 files, reports) go to --out. Exit status encodes the verdict: 0 for success
 or a compatible market, 1 for an incompatible market, 2 for input or solver
-errors.
+errors (a verification whose solver failed decides nothing and exits 2).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from . import __version__
 from .dpm_core import InvalidDPM, dpm_from_csv, dpm_to_csv
 from .market_model import (NoRoot, calibrate_hazard, implied_index_spread,
                            load_snapshot, pv01)
-from .opt_backend import SolverError
+from .opt_backend import SolverError, SolveStatus
 from .risk_engine import InfeasibleConstraints, simulate_npv, spread_delta
 from .strong_compat import (DEFAULT_EPS_SPREAD, DEFAULT_EPS_UPFRONT,
                             DEFAULT_N_SEQUENCE, InvalidSolution,
@@ -72,6 +72,19 @@ def _emit(payload, as_json, lines):
     else:
         for line in lines:
             click.echo(line)
+
+
+def _verdict(res):
+    """Verdict word and exit code of a verification result.
+
+    A solver failure decides nothing, so it is an error (exit 2), never an
+    incompatible verdict.
+    """
+    if res.feasible:
+        return "yes", EXIT_OK
+    if res.status is SolveStatus.NUMERICAL_FAILURE:
+        return "undecided (solver failure)", EXIT_ERROR
+    return "no", EXIT_INCOMPATIBLE
 
 
 def _quote_display(tranche, quotes, l):
@@ -142,12 +155,12 @@ def cmd_verify_weak(input_path, out_path, as_json):
     res = verify_weak(snap)
     if res.feasible and out_path:
         dpm_to_csv(res.dpm, snap.schedule, out_path)
+    word, code = _verdict(res)
     _emit({"compatible": res.feasible, "status": res.status.value,
            "certificate": res.certificate},
           as_json,
-          [f"weakly compatible: {'yes' if res.feasible else 'no'}",
-           res.certificate])
-    return EXIT_OK if res.feasible else EXIT_INCOMPATIBLE
+          [f"weakly compatible: {word}", res.certificate])
+    return code
 
 
 @main.command("verify-strong")
@@ -166,11 +179,12 @@ def cmd_verify_strong(input_path, out_path, as_json, n_seq, resolution, eps):
     snap = load_snapshot(input_path)
     if resolution is not None:
         res = verify_strong_at_N(snap, resolution)
-        feasible, solution, final_n = res.feasible, res.solution, resolution
+        feasible, solution = res.feasible, res.solution
+        word, code = _verdict(res)
         payload = {"compatible": feasible, "resolution": resolution,
                    "status": res.status.value, "certificate": res.certificate}
-        lines = [f"strongly compatible at N={resolution}: "
-                 f"{'yes' if feasible else 'no'}", res.certificate]
+        lines = [f"strongly compatible at N={resolution}: {word}",
+                 res.certificate]
     else:
         seq = DEFAULT_N_SEQUENCE if n_seq is None else tuple(
             int(v) for v in n_seq.split(","))
@@ -178,7 +192,8 @@ def cmd_verify_strong(input_path, out_path, as_json, n_seq, resolution, eps):
         if eps is not None:
             kw = {"eps_spread": eps, "eps_upfront": eps}
         out = iterative_verify(snap, N_sequence=seq, **kw)
-        feasible, solution, final_n = out.compatible, out.solution, out.final_N
+        feasible, solution = out.compatible, out.solution
+        code = EXIT_OK if feasible else EXIT_INCOMPATIBLE
         payload = {
             "compatible": out.compatible,
             "final_resolution": out.final_N,
@@ -195,7 +210,7 @@ def cmd_verify_strong(input_path, out_path, as_json, n_seq, resolution, eps):
     if feasible and solution is not None and out_path:
         strong_to_csv(solution, snap.schedule, out_path, as_of=snap.as_of)
     _emit(payload, as_json, lines)
-    return EXIT_OK if feasible else EXIT_INCOMPATIBLE
+    return code
 
 
 @main.command("verify-bid-ask")
@@ -218,12 +233,12 @@ def cmd_verify_bid_ask(input_path, out_path, as_json, mode, resolution):
         if res.feasible and res.solution is not None and out_path:
             strong_to_csv(res.solution, snap.schedule, out_path,
                           as_of=snap.as_of)
+    word, code = _verdict(res)
     _emit({"compatible": res.feasible, "mode": mode,
            "status": res.status.value, "certificate": res.certificate},
           as_json,
-          [f"{mode} bid-ask compatible: {'yes' if res.feasible else 'no'}",
-           res.certificate])
-    return EXIT_OK if res.feasible else EXIT_INCOMPATIBLE
+          [f"{mode} bid-ask compatible: {word}", res.certificate])
+    return code
 
 
 @main.command()
@@ -381,7 +396,9 @@ def hedge(input_path, out_path, as_json, shift_bps, prior_path):
               f"[{a:g},{d:g}]: dv {v:.8g}, delta {h:.6f}"
               for a, d, v, h in zip(report.attach, report.detach,
                                     report.dv, report.delta)
-          ] + [f"delta sum: {sum(report.delta):.6f}"])
+          ] + [f"delta sum: {sum(report.delta):.6f}",
+               f"entropy solve: {report.solver['iterations']} Newton steps, "
+               f"kkt {report.solver['kkt']:.2e}, {report.solver['wall_s']:.2f} s"])
     return EXIT_OK
 
 

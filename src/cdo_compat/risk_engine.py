@@ -82,7 +82,9 @@ def posterior_dpm(prior, shifted_curve, sched, eps_reg=1e-20):
     Constraints: unit rows, per-date means n F~(T_i) from the shifted curve,
     and non-decreasing tail sums. The reference measure is the prior with an
     eps_reg floor so zero prior cells stay essentially forbidden rather than
-    undefined.
+    undefined. Returns the posterior DPM and the solver record: Newton
+    steps (``iterations``), dual evaluations (``evaluations``), the final
+    KKT residual (``kkt``) and the solve's wall time (``wall_s``).
     """
     m, n = prior.m, prior.n
     means = prior.n * shifted_curve.grid(sched)
@@ -97,12 +99,17 @@ def posterior_dpm(prior, shifted_curve, sched, eps_reg=1e-20):
         raise InfeasibleConstraints(res.message)
     if res.status is not SolveStatus.OPTIMAL:
         raise SolverError(f"entropy solve failed: {res.message}")
-    return DPM(repair_structure(res.x.reshape(m, n + 1)))
+    record = {key: res.extra[key]
+              for key in ("iterations", "evaluations", "kkt", "wall_s")}
+    return DPM(repair_structure(res.x.reshape(m, n + 1))), record
 
 
 @dataclass
 class HedgeReport:
-    """Index-hedge ratios for every tranche at one spread bump size."""
+    """Index-hedge ratios for every tranche at one spread bump size.
+
+    ``solver`` is the entropy solve's record (see ``posterior_dpm``).
+    """
 
     shift_bps: float
     dv_cds: float
@@ -111,6 +118,7 @@ class HedgeReport:
     dv: tuple
     delta: tuple
     posterior: DPM
+    solver: dict
 
     def as_dict(self):
         return {
@@ -120,6 +128,7 @@ class HedgeReport:
                 {"attach": a, "detach": d, "dv": v, "delta": h}
                 for a, d, v, h in zip(self.attach, self.detach, self.dv, self.delta)
             ],
+            "solver": self.solver,
         }
 
     def to_json(self, path=None):
@@ -149,7 +158,8 @@ def spread_delta(snapshot, prior, shift_bps=1.0, eps_reg=1e-20, curve=None):
     shifted_curve = calibrate_hazard(
         snapshot.index_spread + ds, snapshot.schedule, snapshot.discount,
         snapshot.portfolio.recovery)
-    posterior = posterior_dpm(prior, shifted_curve, snapshot.schedule, eps_reg)
+    posterior, solver = posterior_dpm(prior, shifted_curve, snapshot.schedule,
+                                      eps_reg)
     dv = tuple(expected_npv(posterior, c) - expected_npv(prior, c) for c in coeffs)
     dv_cds = cds_value_change(curve, shifted_curve, snapshot.schedule,
                               snapshot.discount, ds)
@@ -161,6 +171,7 @@ def spread_delta(snapshot, prior, shift_bps=1.0, eps_reg=1e-20, curve=None):
         dv=dv,
         delta=tuple(v / dv_cds for v in dv),
         posterior=posterior,
+        solver=solver,
     )
 
 

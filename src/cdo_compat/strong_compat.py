@@ -334,7 +334,8 @@ def iterative_verify(snapshot, N_sequence=DEFAULT_N_SEQUENCE,
     changes below eps) proves incompatibility and reports the tranche. When
     every tranche has been accepted, the full system is solved at the largest
     resolution any tranche needed (escalating through the remaining sequence
-    if that single solve fails).
+    if that single solve fails). A resolution at which no law prices the
+    tranches already accepted is skipped.
 
     Raises IterationLimit when the sequence ends before a decision.
     """
@@ -353,7 +354,12 @@ def iterative_verify(snapshot, N_sequence=DEFAULT_N_SEQUENCE,
         prev = None
         accepted_at = None
         for N in N_sequence:
-            lo, hi = range_at_N(snapshot, range(l), l, N, curve=curve)
+            try:
+                lo, hi = range_at_N(snapshot, range(l), l, N, curve=curve)
+            except InfeasibleRegion:
+                # no law at this N prices the tranches already accepted (one
+                # accepted at a larger N); a coarser N proves nothing here
+                continue
             history.append(RangeRecord(l, N, lo, hi))
             if lo - 1e-12 <= quote <= hi + 1e-12:
                 accepted_at = N

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from cdo_compat import opt_backend
 from cdo_compat.cli import main
 from cdo_compat.dpm_core import dpm_from_csv, validate_dpm
 from cdo_compat.market_model import snapshot_to_dict
@@ -117,6 +118,44 @@ def test_verify_bid_ask_weak_mode(runner, snapshot, tmp_path):
                                _banded_path(snapshot, tmp_path), "--json"])
     assert res.exit_code == 0
     assert json.loads(res.output)["compatible"] is True
+
+
+def test_verify_bid_ask_strong_mode(runner, snapshot, tmp_path):
+    res = runner.invoke(main, ["verify-bid-ask", "-i",
+                               _banded_path(snapshot, tmp_path), "--mode",
+                               "strong", "--resolution", "50", "--json"])
+    assert res.exit_code == 0
+    payload = json.loads(res.output)
+    assert payload["compatible"] is True
+    assert payload["mode"] == "strong"
+
+
+def test_verify_strong_walk_ends_without_a_traceback(runner, snapshot,
+                                                     tmp_path):
+    # equity at 40% is accepted only at N=75, and no N=50 law prices it, so
+    # the walk for the next tranche must skip N=50 rather than raise
+    raw = snapshot_to_dict(snapshot)
+    raw["tranches"][0]["quote_value"] = 40.0
+    res = runner.invoke(main, ["verify-strong", "-i",
+                               _write_snapshot(tmp_path, raw)])
+    assert res.exit_code in (1, 2)
+    assert isinstance(res.exception, SystemExit)
+
+
+def test_solver_failure_is_not_an_incompatible_verdict(runner, snapshot,
+                                                       tmp_path, monkeypatch):
+    monkeypatch.setattr(opt_backend, "solve_lp", lambda lp: opt_backend.SolveResult(
+        opt_backend.SolveStatus.NUMERICAL_FAILURE, message="forced failure"))
+    banded = _banded_path(snapshot, tmp_path)
+    for argv in (["verify-weak", "-i", str(SNAPSHOT_PATH)],
+                 ["verify-bid-ask", "-i", banded],
+                 ["verify-bid-ask", "-i", banded, "--mode", "strong",
+                  "--resolution", "50"],
+                 ["verify-strong", "-i", str(SNAPSHOT_PATH),
+                  "--resolution", "50"]):
+        res = runner.invoke(main, argv + ["--json"])
+        assert res.exit_code == 2, argv
+        assert json.loads(res.output)["status"] == "numerical_failure"
 
 
 def test_verify_bid_ask_rejects_crossed_bands(runner, snapshot, tmp_path):

@@ -24,17 +24,23 @@ def test_tilt_duals_reproduce_the_target_means():
 
 
 def test_posterior_is_the_prior_when_nothing_moves(snapshot, curve, weak_result):
-    post = posterior_dpm(weak_result.dpm, curve, snapshot.schedule)
+    post, _ = posterior_dpm(weak_result.dpm, curve, snapshot.schedule)
     assert np.max(np.abs(post.q - weak_result.dpm.q)) < 1e-6
 
 
 def test_posterior_marginals_track_the_bumped_curve(snapshot, weak_result):
-    bumped = calibrate_hazard(snapshot.index_spread + 1e-4, snapshot.schedule,
-                              snapshot.discount, snapshot.portfolio.recovery)
-    post = posterior_dpm(weak_result.dpm, bumped, snapshot.schedule)
-    np.testing.assert_allclose(post.means(),
-                               125 * bumped.grid(snapshot.schedule), atol=1e-7)
-    np.testing.assert_allclose(post.q.sum(axis=1), 1.0, atol=1e-9)
+    # a widening bump leaves the monotonicity rows slack at the tilted warm
+    # start; a tightening one violates about 1100 of them
+    for shift in (1e-4, -1e-4):
+        bumped = calibrate_hazard(snapshot.index_spread + shift,
+                                  snapshot.schedule, snapshot.discount,
+                                  snapshot.portfolio.recovery)
+        post, solver = posterior_dpm(weak_result.dpm, bumped, snapshot.schedule)
+        np.testing.assert_allclose(post.means(),
+                                   125 * bumped.grid(snapshot.schedule),
+                                   atol=1e-7)
+        np.testing.assert_allclose(post.q.sum(axis=1), 1.0, atol=1e-9)
+        assert solver["kkt"] < 1e-8
 
 
 def test_hedge_report_values_and_schema(snapshot, weak_result, tmp_path):
@@ -43,9 +49,11 @@ def test_hedge_report_values_and_schema(snapshot, weak_result, tmp_path):
     assert all(d > 0.0 for d in report.delta)
     assert 0.9 < sum(report.delta) < 1.1
     payload = report.as_dict()
-    assert set(payload) == {"shift_bps", "dv_cds", "tranches"}
+    assert set(payload) == {"shift_bps", "dv_cds", "tranches", "solver"}
     assert len(payload["tranches"]) == 4
     assert set(payload["tranches"][0]) == {"attach", "detach", "dv", "delta"}
+    assert set(payload["solver"]) == {"iterations", "evaluations", "kkt", "wall_s"}
+    assert payload["solver"]["kkt"] < 1e-8
     target = tmp_path / "hedge.json"
     report.to_json(target)
     assert json.loads(target.read_text()) == payload

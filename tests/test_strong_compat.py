@@ -7,6 +7,7 @@ import pytest
 
 from cdo_compat.dpm_core import validate_dpm
 from cdo_compat.market_model import snapshot_from_dict, snapshot_to_dict
+from cdo_compat.opt_backend import FEASIBILITY_TOL
 from cdo_compat.strong_compat import (GammaDistortion, GeneratorPath,
                                       GeneratorSampler, IterationLimit,
                                       InvalidSolution, StrongSolution,
@@ -15,10 +16,12 @@ from cdo_compat.strong_compat import (GammaDistortion, GeneratorPath,
                                       iterative_verify,
                                       nonstandard_names_bounds, qij_from_p,
                                       range_at_N, strong_from_csv,
-                                      strong_to_csv, verify_strong_at_N)
-from cdo_compat.tranche_valuation import (DimensionMismatch, coefficients_for,
-                                          expected_npv)
-from cdo_compat.weak_compat import WeakFeasibilityProblem
+                                      strong_to_csv, verify_strong_at_N,
+                                      verify_strong_bid_ask)
+from cdo_compat.tranche_valuation import (DimensionMismatch,
+                                          TrancheCoefficients,
+                                          coefficients_for, expected_npv)
+from cdo_compat.weak_compat import InvalidQuotes, WeakFeasibilityProblem
 
 QUOTES = {0: (0.28438, "upfront"), 1: (0.04531, "upfront"),
           2: (106.32e-4, "spread"), 3: (27.44e-4, "spread")}
@@ -120,6 +123,38 @@ def test_iterative_verification_accepts_the_market(snapshot, curve):
     for rec in res.history:
         assert rec.lower <= rec.upper + 1e-12
         assert rec.tranche in range(4)
+
+
+def _banded(snapshot, bands):
+    raw = snapshot_to_dict(snapshot)
+    for l, (bid, ask) in enumerate(bands):
+        raw["tranches"][l]["bid_value"] = bid
+        raw["tranches"][l]["ask_value"] = ask
+    return snapshot_from_dict(raw)
+
+
+BANDS = ((28.2, 28.7), (4.3, 4.8), (105.0, 108.0), (27.0, 28.0))
+
+
+def test_strong_bid_ask_band_around_quotes_is_feasible_at_50(snapshot):
+    banded = _banded(snapshot, BANDS)
+    res = verify_strong_bid_ask(banded, 50)
+    assert res.feasible
+    assert res.solution.N == 50
+    dpm = qij_from_p(res.solution, h_matrix(125, 50))
+    for l, tr in enumerate(banded.tranches):
+        cb = TrancheCoefficients.build(tr, banded.bid.upfront[l],
+                                       banded.bid.spread[l], banded)
+        ca = TrancheCoefficients.build(tr, banded.ask.upfront[l],
+                                       banded.ask.spread[l], banded)
+        assert expected_npv(dpm, cb) >= -FEASIBILITY_TOL
+        assert expected_npv(dpm, ca) <= FEASIBILITY_TOL
+
+
+def test_strong_bid_ask_rejects_crossed_quotes(snapshot):
+    crossed = _banded(snapshot, ((28.7, 28.2),) + BANDS[1:])
+    with pytest.raises(InvalidQuotes):
+        verify_strong_bid_ask(crossed, 50)
 
 
 def _torn(snapshot):
