@@ -458,8 +458,11 @@ class GeneratorSampler:
         boundary_bot = np.zeros((1, self.N + 1))
         boundary_bot[0, self.N] = 1.0
         aug = np.vstack([boundary_top, p, boundary_bot])
-        # increasing-by-construction reversed tail sums, one row per grid date
+        # reversed tail sums, one row per grid date, made non-decreasing
+        # along each row and down the dates: rounding (or a law within
+        # MONOTONE_TOL of monotone) must not let a path step down
         rev = np.maximum.accumulate(aug[:, ::-1].cumsum(axis=1), axis=1)
+        rev = np.maximum.accumulate(rev, axis=0)
         self._rev_tails = np.ascontiguousarray(rev)
         self.m = solution.m
 
@@ -525,16 +528,30 @@ class GammaDistortion:
         return cls(build_generator_sampler(solution))
 
     def sample(self, rng, size):
+        """Draw ``size`` paths: returns ``(phi, x)``, both of shape (size, m+2).
+
+        Draw order: one uniform per path drives the generator, then the xi
+        increments, then the eta increments. Only xi at phi_1 <= .. <= phi_m
+        and eta at N - phi_m <= .. <= N - phi_1 are read, and a unit-gamma
+        process has independent Gamma(k' - k) increments between states k
+        and k', so xi is the cumulative sum of ``standard_gamma(phi_i -
+        phi_{i-1})`` along the dates and eta the same sum in reverse date
+        order (``standard_gamma(0)`` is 0). The pair has the law of the full
+        processes read at those states, from m draws each instead of N.
+        """
         N = self.N
         u = rng.uniform(size=size)
         phi = self.sampler.sample_matrix(u)
-        zero = np.zeros((size, 1))
-        xi = np.hstack([zero, rng.standard_exponential((size, N)).cumsum(axis=1)])
-        eta = np.hstack([zero, rng.standard_exponential((size, N)).cumsum(axis=1)])
-        rows = np.arange(size)[:, None]
-        num = xi[rows, phi]
-        den = num + eta[rows, N - phi]
-        x = np.where(phi == 0, 0.0, np.where(phi == N, 1.0, num / np.where(den == 0.0, 1.0, den)))
+        steps = np.diff(phi, axis=1)
+        xi = rng.standard_gamma(steps[:, :-1]).cumsum(axis=1)
+        eta = rng.standard_gamma(steps[:, :0:-1]).cumsum(axis=1)[:, ::-1]
+        inner = phi[:, 1:-1]
+        den = xi + eta
+        x = np.empty(phi.shape)
+        x[:, 0] = 0.0
+        x[:, -1] = 1.0
+        x[:, 1:-1] = np.where(inner == 0, 0.0, np.where(
+            inner == N, 1.0, xi / np.where(den == 0.0, 1.0, den)))
         return phi, x
 
 

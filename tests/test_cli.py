@@ -222,6 +222,15 @@ def test_hedge_reports_deltas_that_sum_near_one(runner, tmp_path):
     assert json.loads(out.read_text()) == payload
 
 
+@pytest.mark.parametrize("shift", ["0", "nan"])
+def test_hedge_rejects_a_bump_without_a_response(runner, shift):
+    res = runner.invoke(main, ["hedge", "-i", str(SNAPSHOT_PATH),
+                               "--shift-bps", shift])
+    assert res.exit_code == 2
+    assert "error: spread bump must be finite and non-zero" in res.output
+    assert "Traceback" not in res.output
+
+
 def test_simulate_writes_sample_paths(runner, tmp_path):
     out = tmp_path / "paths.csv"
     res = runner.invoke(main, ["simulate", "-i", str(SNAPSHOT_PATH),

@@ -1,5 +1,7 @@
 """Risk engine: entropy posteriors, hedge ratios, and path simulation."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -7,7 +9,8 @@ import pytest
 
 from cdo_compat.dpm_core import DPM
 from cdo_compat.market_model import calibrate_hazard
-from cdo_compat.risk_engine import (_row_tilt_duals, posterior_dpm,
+from cdo_compat.risk_engine import (_format_rows, _nested_binomial_counts,
+                                    _row_tilt_duals, posterior_dpm,
                                     read_samples, simulate_npv, spread_delta)
 from cdo_compat.tranche_valuation import DimensionMismatch
 
@@ -117,3 +120,45 @@ def test_portfolio_column_weights_the_positions(snapshot, strong_100, tmp_path):
     _, _, values = read_samples(target)
     np.testing.assert_allclose(values[:, 4], 2.0 * values[:, 0],
                                rtol=1e-8, atol=1e-12)
+
+
+def test_nested_binomial_counts_saturate_once_x_reaches_one():
+    x = np.array([[0.0, 0.2, 0.5, 1.0, 1.0, 1.0],
+                  [0.0, 0.3, 1.0, 1.0, 1.0, 1.0],
+                  [0.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+                  [0.0, 0.0, 0.0, 0.4, 0.9, 1.0]])
+    counts = _nested_binomial_counts(np.random.default_rng(8), 125,
+                                     np.repeat(x, 50, axis=0))
+    assert counts.shape == (200, 4)
+    assert np.all(np.diff(counts, axis=1) >= 0)
+    assert np.all(counts[:50, 2:] == 125)
+    assert np.all(counts[50:100, 1:] == 125)
+    assert np.all(counts[100:150] == 125)
+    assert np.all(counts[150:, :2] == 0)
+    assert np.all(counts <= 125)
+
+
+def test_nested_binomial_counts_have_mean_n_x():
+    # given X, N_i is Bin(n, x_i) whatever the earlier dates drew
+    n, draws = 125, 40000
+    x_row = np.array([0.0, 0.01, 0.1, 0.1, 0.35, 0.8, 0.999, 1.0])
+    counts = _nested_binomial_counts(np.random.default_rng(31), n,
+                                     np.tile(x_row, (draws, 1)))
+    x_dates = x_row[1:-1]
+    stderr = np.sqrt(n * x_dates * (1.0 - x_dates) / draws)
+    assert np.all(np.abs(counts.mean(axis=0) - n * x_dates) < 4.0 * stderr)
+
+
+def test_sample_rows_match_the_csv_module_byte_for_byte():
+    ids = np.array([0, 7, 65535, 1_000_000])
+    counts = np.array([[0, 0, 3], [1, 5, 125], [0, 125, 125], [2, 2, 2]])
+    values = np.array([[0.0, -0.0, 1.5],
+                       [1e-300, -2.345678901234e17, 0.1],
+                       [1.0 / 3.0, -1e-7, 123456789.0123],
+                       [np.nan, np.inf, -np.inf]])
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    for r in range(len(ids)):
+        writer.writerow([ids[r], *counts[r].tolist(),
+                         *(f"{v:.10g}" for v in values[r])])
+    assert _format_rows(ids, counts, values) == expected.getvalue()

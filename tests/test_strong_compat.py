@@ -4,6 +4,7 @@ import copy
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from cdo_compat.dpm_core import validate_dpm
 from cdo_compat.market_model import snapshot_from_dict, snapshot_to_dict
@@ -248,15 +249,20 @@ def test_distortion_value_conventions():
         distortion_value(1, xi[1:], eta[1:], 2)
 
 
-def test_distortion_matches_the_beta_mean():
-    # X at state k is Beta(k, N - k) distributed, so E[X | k] = k / N
-    N, k, draws = 8, 3, 60000
-    rng = np.random.default_rng(5)
+def _full_path_distortion(rng, draws, N, states):
+    # the distortion read off whole unit-gamma paths on 0..N
     xi = np.hstack([np.zeros((draws, 1)),
                     rng.standard_exponential((draws, N)).cumsum(axis=1)])
     eta = np.hstack([np.zeros((draws, 1)),
                      rng.standard_exponential((draws, N)).cumsum(axis=1)])
-    x = xi[:, k] / (xi[:, k] + eta[:, N - k])
+    return np.column_stack([xi[:, k] / (xi[:, k] + eta[:, N - k])
+                            for k in states])
+
+
+def test_distortion_matches_the_beta_mean():
+    # X at state k is Beta(k, N - k) distributed, so E[X | k] = k / N
+    N, k, draws = 8, 3, 60000
+    x = _full_path_distortion(np.random.default_rng(5), draws, N, (k,))[:, 0]
     mean, sd = x.mean(), x.std(ddof=1)
     assert abs(mean - k / N) < 4 * sd / np.sqrt(draws)
 
@@ -268,6 +274,43 @@ def test_gamma_distortion_samples_are_monotone_with_exact_endpoints():
     assert phi.shape == x.shape == (500, 4)
     assert np.all(x[:, 0] == 0.0) and np.all(x[:, -1] == 1.0)
     assert np.all((x >= 0.0) & (x <= 1.0))
+    assert np.all(np.diff(x, axis=1) >= 0.0)
+
+
+def test_distortion_matches_the_full_path_construction():
+    # phi sits at k1 on the first date and k2 on the second, so the
+    # increment sampler must give (X(t1), X(t2)) the joint law of the
+    # full-path construction; the difference checks the dependence
+    N, k1, k2, draws = 12, 4, 9, 20000
+    p = np.zeros((2, N + 1))
+    p[0, k1] = p[1, k2] = 1.0
+    _, x = GammaDistortion.from_solution(StrongSolution(p, N)).sample(
+        np.random.default_rng(2024), draws)
+    ref = _full_path_distortion(np.random.default_rng(4202), draws, N,
+                                (k1, k2))
+    level = 1e-3
+    for sample, reference in ((x[:, 1], ref[:, 0]), (x[:, 2], ref[:, 1]),
+                              (x[:, 2] - x[:, 1], ref[:, 1] - ref[:, 0])):
+        assert ks_2samp(sample, reference).pvalue > level
+    # negative control: the same marginals with xi and eta drawn afresh per
+    # date lose the dependence, and the difference test sees it
+    loose = np.column_stack([
+        _full_path_distortion(np.random.default_rng(seed), draws, N, (k,))
+        for seed, k in ((11, k1), (12, k2))])
+    assert ks_2samp(loose[:, 1], ref[:, 1]).pvalue > level
+    assert ks_2samp(loose[:, 1] - loose[:, 0],
+                    ref[:, 1] - ref[:, 0]).pvalue < level
+
+
+def test_sampler_paths_stay_monotone_within_the_tail_tolerance():
+    # the first date's upper tail exceeds the second's by 5e-10, which
+    # MONOTONE_TOL admits; a uniform in that sliver must not step down
+    p = np.array([[0.5 - 5e-10, 0.5 + 5e-10, 0.0],
+                  [0.5, 0.0, 0.5]])
+    sampler = build_generator_sampler(StrongSolution(p, 2))
+    phi = sampler.sample_matrix(np.array([0.5 + 2.5e-10, 0.25, 0.75]))
+    assert np.all(np.diff(phi, axis=1) >= 0)
+    _, x = GammaDistortion(sampler).sample(np.random.default_rng(3), 1000)
     assert np.all(np.diff(x, axis=1) >= 0.0)
 
 
