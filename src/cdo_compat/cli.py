@@ -261,7 +261,12 @@ def ranges(input_path, out_path, fmt, as_json, n_seq):
         entries = []
         for l, tranche in enumerate(snap.tranches):
             fixed = [k for k in range(snap.n_tranches) if k != l]
-            lo, hi = range_at_N(snap, fixed, l, N)
+            try:
+                lo, hi = range_at_N(snap, fixed, l, N)
+            except InfeasibleRegion:
+                click.echo(f"no strong solution at N={N} prices the quotes "
+                           f"other than tranche {tranche.label}", err=True)
+                return EXIT_INCOMPATIBLE
             quote, units = _quote_display(tranche, snap.quotes, l)
             lo_d = _to_display(tranche.quote_kind, lo)
             hi_d = _to_display(tranche.quote_kind, hi)

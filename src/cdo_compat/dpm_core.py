@@ -27,6 +27,10 @@ class InvalidDPM(ValueError):
     """The matrix violates the default-count-law constraints."""
 
 
+class InvalidSolution(ValueError):
+    """A generator law failed its structural constraints."""
+
+
 class TooLargeForExact(ValueError):
     """Exact copula evaluation enumerates n! permutations; n is too large."""
 

@@ -3,12 +3,15 @@
 Strong compatibility restricts the perfect-fit question to conditionally
 i.i.d. models. At resolution N those are parametrized by a generator law
 p_{ik} on {0..N} per payment date; the default-count law it induces mixes
-Beta distributions through the h coefficients, so tranche pricing stays
-linear in p and the question is again LP feasibility. The module also
-computes N-dependent price ranges (the iterative verification algorithm
-walks them across a resolution sequence), builds the generator sampler and
-the two-gamma-process distortion used for simulation, and bounds quotes
-for pools with a nonstandard number of names.
+Beta distributions through the h coefficients, q = p h', so tranche
+pricing stays linear in p. The question is then the weak polytope under
+the column map h instead of the identity: `StrongFeasibilityProblem`
+selects that map, and the assembly, certificate check and bound routine
+are the ones in `weak_compat`. This module supplies h and the generator
+law, computes N-dependent price ranges (the iterative verification
+algorithm walks them across a resolution sequence) and quote bounds for
+pools with a nonstandard number of names, and builds the generator sampler
+and the two-gamma-process distortion used for simulation.
 """
 
 from __future__ import annotations
@@ -17,22 +20,15 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import betaln, gammaln
 
-from . import opt_backend
 from .dpm_core import (DPM, MONOTONE_TOL, NEGATIVITY_CLAMP, ROW_SUM_TOL,
-                       repair_structure, tail_sums)
-from .market_model import PortfolioSpec, TrancheSpec
-from .opt_backend import (DegenerateDenominator, LinearProgram, SolveStatus,
-                          SolverError)
-from .tranche_valuation import (DimensionMismatch, TrancheCoefficients,
-                                beta_coeffs, coefficients_for, expected_npv,
-                                gamma_coeff, lambda_coeffs)
-from .weak_compat import (InfeasibleRegion, InvalidQuotes, UnboundedRatio,
-                          _check_not_crossed, _curve_or_calibrate,
-                          _feasibility_solve, _loss_timing_coeffs,
-                          marginal_blocks, monotonicity_block)
+                       InvalidSolution, tail_sums)
+from .market_model import PortfolioSpec
+from .opt_backend import SolveStatus, SolverError
+from .tranche_valuation import DimensionMismatch, beta_coeffs
+from .weak_compat import (InfeasibleRegion, _assemble, _bounds,
+                          _curve_or_calibrate, _Polytope, _target, _verify)
 
 DEFAULT_N_SEQUENCE = (50, 75, 100, 125, 150, 175, 200)
 DEFAULT_EPS_SPREAD = 1e-6    # 0.01 bp, on decimals per year
@@ -41,10 +37,6 @@ DEFAULT_EPS_UPFRONT = 1e-5   # 0.001 per cent, on decimal fractions
 
 class IterationLimit(RuntimeError):
     """The resolution sequence was exhausted before the algorithm could decide."""
-
-
-class InvalidSolution(ValueError):
-    """A generator law failed its structural constraints."""
 
 
 @dataclass(frozen=True)
@@ -122,60 +114,20 @@ def qij_from_p(solution, h):
     return DPM(solution.p @ h.h.T)
 
 
-@dataclass
-class StrongFeasibilityProblem:
-    """Constraint blocks of the resolution-N system for one snapshot."""
-
-    A_eq: object
-    b_eq: np.ndarray
-    A_ub: object
-    b_ub: np.ndarray
-    m: int
-    N: int
-    h: HCoefficients
+class StrongFeasibilityProblem(_Polytope):
+    """The polytope over generator weights p_ik at resolution N, mapped onto q by h."""
 
     @classmethod
     def from_snapshot(cls, snapshot, curve, N, priced=None, bid_ask=False):
-        m, n = snapshot.schedule.m, snapshot.portfolio.n
-        h = h_matrix(n, N)
-        means = N * curve.grid(snapshot.schedule)
-        A_marg, b_marg = marginal_blocks(m, N, means)
-        A_mono, b_mono = monotonicity_block(m, N)
-        eq_rows, eq_rhs = [A_marg], [b_marg]
-        ub_rows, ub_rhs = [A_mono], [b_mono]
         if priced is None:
             priced = range(snapshot.n_tranches)
-        if bid_ask:
-            if snapshot.bid is None or snapshot.ask is None:
-                raise InvalidQuotes("snapshot carries no bid/ask quotes")
-            for l in priced:
-                tr = snapshot.tranches[l]
-                _check_not_crossed(tr, snapshot.bid, snapshot.ask, l)
-                cb = TrancheCoefficients.build(tr, snapshot.bid.upfront[l],
-                                              snapshot.bid.spread[l], snapshot)
-                ca = TrancheCoefficients.build(tr, snapshot.ask.upfront[l],
-                                              snapshot.ask.spread[l], snapshot)
-                ub_rows.append(sp.csr_matrix(-_pricing_row_p(cb, h)[None, :]))
-                ub_rhs.append(np.array([-cb.gamma]))
-                ub_rows.append(sp.csr_matrix(_pricing_row_p(ca, h)[None, :]))
-                ub_rhs.append(np.array([ca.gamma]))
-        else:
-            for l in priced:
-                coeffs = TrancheCoefficients.from_snapshot(snapshot, l)
-                eq_rows.append(sp.csr_matrix(_pricing_row_p(coeffs, h)[None, :]))
-                eq_rhs.append(np.array([coeffs.gamma]))
-        return cls(
-            A_eq=sp.vstack(eq_rows, format="csr"),
-            b_eq=np.concatenate(eq_rhs),
-            A_ub=sp.vstack(ub_rows, format="csr"),
-            b_ub=np.concatenate(ub_rhs),
-            m=m, N=N, h=h,
-        )
+        return _assemble(cls, snapshot, curve, h_matrix(snapshot.portfolio.n, N),
+                         priced, bid_ask)
 
-
-def _pricing_row_p(coeffs, h):
-    """Pricing coefficients in generator variables: outer(lambda, h' beta)."""
-    return np.outer(coeffs.lam, h.h.T @ coeffs.beta).ravel()
+    def _law(self, x):
+        """The generator-law certificate and the DPM it mixes into."""
+        solution = StrongSolution(x, self.h.N)
+        return solution, qij_from_p(solution, self.h)
 
 
 @dataclass
@@ -193,99 +145,14 @@ def verify_strong_at_N(snapshot, N, curve=None):
     """Decide resolution-N strong compatibility; Feasible carries the generator law."""
     curve = _curve_or_calibrate(snapshot, curve)
     problem = StrongFeasibilityProblem.from_snapshot(snapshot, curve, N)
-    res = _feasibility_solve(problem)
-    if res.status is SolveStatus.INFEASIBLE:
-        return StrongResult(SolveStatus.INFEASIBLE, None, res.message)
-    if res.status is not SolveStatus.FEASIBLE:
-        return StrongResult(SolveStatus.NUMERICAL_FAILURE, None, res.message)
-    try:
-        solution = StrongSolution(
-            repair_structure(res.x.reshape(problem.m, N + 1)), N)
-    except InvalidSolution as exc:  # pragma: no cover - solver contract violation
-        return StrongResult(SolveStatus.NUMERICAL_FAILURE, None, str(exc))
-    dpm = qij_from_p(solution, problem.h)
-    worst = max(abs(expected_npv(dpm, c)) for c in coefficients_for(snapshot))
-    if worst > opt_backend.FEASIBILITY_TOL:
-        return StrongResult(SolveStatus.NUMERICAL_FAILURE, None,
-                            f"solution misprices a tranche by {worst:.3e}")
-    return StrongResult(SolveStatus.FEASIBLE, solution,
-                        f"{res.message}; worst repricing error {worst:.3e}")
+    return StrongResult(*_verify(snapshot, problem, bid_ask=False))
 
 
 def verify_strong_bid_ask(snapshot, N, curve=None):
     """Strong compatibility against two-sided quotes at resolution N."""
     curve = _curve_or_calibrate(snapshot, curve)
     problem = StrongFeasibilityProblem.from_snapshot(snapshot, curve, N, bid_ask=True)
-    res = _feasibility_solve(problem)
-    if res.status is SolveStatus.INFEASIBLE:
-        return StrongResult(SolveStatus.INFEASIBLE, None, res.message)
-    if res.status is not SolveStatus.FEASIBLE:
-        return StrongResult(SolveStatus.NUMERICAL_FAILURE, None, res.message)
-    solution = StrongSolution(
-        repair_structure(res.x.reshape(problem.m, N + 1)), N)
-    dpm = qij_from_p(solution, problem.h)
-    worst = 0.0
-    for l, tr in enumerate(snapshot.tranches):
-        cb = TrancheCoefficients.build(tr, snapshot.bid.upfront[l],
-                                       snapshot.bid.spread[l], snapshot)
-        ca = TrancheCoefficients.build(tr, snapshot.ask.upfront[l],
-                                       snapshot.ask.spread[l], snapshot)
-        worst = max(worst, -expected_npv(dpm, cb), expected_npv(dpm, ca))
-    if worst > opt_backend.FEASIBILITY_TOL:
-        return StrongResult(SolveStatus.NUMERICAL_FAILURE, None,
-                            f"solution violates a quote band by {worst:.3e}")
-    return StrongResult(SolveStatus.FEASIBLE, solution,
-                        f"{res.message}; worst band violation {worst:.3e}")
-
-
-def _target_objective(snapshot, tranche, h, fixed_running):
-    """Objective pieces for bounding a tranche quote over generator laws."""
-    sched, disc = snapshot.schedule, snapshot.discount
-    beta = beta_coeffs(tranche, snapshot.portfolio)
-    hbeta = h.h.T @ beta
-    acc_disc = disc(np.asarray(sched.payment_dates)) * sched.accruals
-    annuity = float(acc_disc.sum())
-    if tranche.quote_kind == "upfront":
-        lam = lambda_coeffs(fixed_running, sched, disc)
-        c = np.outer(lam, hbeta).ravel()
-        gamma0 = gamma_coeff(tranche, 0.0, fixed_running, sched, disc)
-        return ("lp", c, gamma0)
-    lc = _loss_timing_coeffs(sched, disc)
-    c_num = np.outer(lc, hbeta).ravel()
-    c_den = -np.outer(acc_disc, hbeta).ravel()
-    d_den = tranche.width * annuity
-    return ("lfp", c_num, c_den, d_den)
-
-
-def _bounds_over(problem, objective, width):
-    out = []
-    for sense in ("min", "max"):
-        if objective[0] == "lp":
-            _, c, gamma0 = objective
-            res = opt_backend.solve_lp(LinearProgram(
-                c=c, A_ub=problem.A_ub, b_ub=problem.b_ub,
-                A_eq=problem.A_eq, b_eq=problem.b_eq, bounds=(0, None), sense=sense))
-            _raise_unless_optimal(res)
-            out.append((res.objective - gamma0) / width)
-        else:
-            _, c_num, c_den, d_den = objective
-            try:
-                res = opt_backend.solve_lfp(
-                    c_num, 0.0, c_den, d_den,
-                    A_ub=problem.A_ub, b_ub=problem.b_ub,
-                    A_eq=problem.A_eq, b_eq=problem.b_eq, sense=sense)
-            except DegenerateDenominator as exc:
-                raise UnboundedRatio(str(exc)) from exc
-            _raise_unless_optimal(res)
-            out.append(res.objective)
-    return tuple(out)
-
-
-def _raise_unless_optimal(res):
-    if res.status is SolveStatus.INFEASIBLE:
-        raise InfeasibleRegion("the constrained generator polytope is empty")
-    if res.status is not SolveStatus.OPTIMAL:
-        raise SolverError(f"bound solve failed: {res.status.value}: {res.message}")
+    return StrongResult(*_verify(snapshot, problem, bid_ask=True))
 
 
 def range_at_N(snapshot, fixed, target, N, curve=None):
@@ -299,9 +166,8 @@ def range_at_N(snapshot, fixed, target, N, curve=None):
     fixed = [l for l in fixed if l != target]
     problem = StrongFeasibilityProblem.from_snapshot(snapshot, curve, N, priced=fixed)
     tranche = snapshot.tranches[target]
-    objective = _target_objective(snapshot, tranche, problem.h,
-                                  tranche.running_spread)
-    return _bounds_over(problem, objective, tranche.width)
+    return _bounds(snapshot, problem, tranche,
+                   problem.h.h.T @ beta_coeffs(tranche, snapshot.portfolio))
 
 
 @dataclass
@@ -389,28 +255,12 @@ def nonstandard_names_bounds(snapshot, N, n_names, attach, detach, quote_kind,
     target tranche's payoff is rebuilt at the nonstandard pool size through
     its own loss vector and h coefficients, then bounded over that region.
     """
+    target = _target(attach, detach, quote_kind, fixed_running)
     curve = _curve_or_calibrate(snapshot, curve)
     problem = StrongFeasibilityProblem.from_snapshot(snapshot, curve, N)
     pool = PortfolioSpec(int(n_names), snapshot.portfolio.recovery)
-    target = TrancheSpec(attach, detach, "upfront", fixed_running) \
-        if quote_kind == "upfront" else TrancheSpec(attach, detach, "spread")
-    h_t = h_matrix(pool.n, N)
-    sched, disc = snapshot.schedule, snapshot.discount
-    beta = beta_coeffs(target, pool)
-    hbeta = h_t.h.T @ beta
-    acc_disc = disc(np.asarray(sched.payment_dates)) * sched.accruals
-    annuity = float(acc_disc.sum())
-    if quote_kind == "upfront":
-        lam = lambda_coeffs(fixed_running, sched, disc)
-        objective = ("lp", np.outer(lam, hbeta).ravel(),
-                     gamma_coeff(target, 0.0, fixed_running, sched, disc))
-    elif quote_kind == "spread":
-        lc = _loss_timing_coeffs(sched, disc)
-        objective = ("lfp", np.outer(lc, hbeta).ravel(),
-                     -np.outer(acc_disc, hbeta).ravel(), target.width * annuity)
-    else:
-        raise ValueError("quote_kind must be 'upfront' or 'spread'")
-    return _bounds_over(problem, objective, target.width)
+    return _bounds(snapshot, problem, target,
+                   h_matrix(pool.n, N).h.T @ beta_coeffs(target, pool))
 
 
 # Generator paths and the gamma distortion.

@@ -1,12 +1,19 @@
-"""Weak compatibility as LP feasibility over the DPM polytope.
+"""The default-count polytope under a column map, and weak compatibility.
 
-A quote set is weakly compatible when some valid DPM reprices every quoted
-tranche exactly; that is a feasibility question for a linear system in the
-matrix entries: pricing equalities, row sums, marginal means, tail
-monotonicity, and non-negativity. The same polytope supports bid-ask
-verification (pricing inequalities instead of equalities) and model-free
-price bounds for non-quoted tranches (LP for up-front quotes, a linear
-fractional program for running spreads).
+Weak and strong compatibility are one linear system over the default-count
+law q, posed over two sets of columns. Weak poses it over q itself, n + 1
+states per date: the column map H is the identity. Strong poses it over a
+generator law p at resolution N, N + 1 states per date, which the
+beta-binomial matrix h of `strong_compat` maps onto q = p h': H = h. This
+module assembles that polytope once for both maps: unit row sums, marginal
+means ``states * F(T_i)``, non-decreasing tail sums, non-negativity, and one
+pricing row ``outer(lambda, H' beta)`` per quote, an equality at a mid quote
+or a pair of inequalities for a bid/ask band. Both questions share the rest
+too: the feasibility solve with its certificate check (repair, validate,
+reprice), and quote bounds for a tranche that is not quoted, an LP for
+up-front quotes and a linear fractional program for running spreads.
+`WeakFeasibilityProblem` selects H = I here;
+`strong_compat.StrongFeasibilityProblem` selects H = h.
 """
 
 from __future__ import annotations
@@ -17,13 +24,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import opt_backend
-from .dpm_core import DPM, repair_structure
+from .dpm_core import DPM, InvalidDPM, InvalidSolution, repair_structure
 from .market_model import TrancheSpec, calibrate_hazard
-from .opt_backend import (DegenerateDenominator, LinearProgram, SolveResult,
-                          SolveStatus, SolverError)
+from .opt_backend import (DegenerateDenominator, LinearProgram, SolveStatus,
+                          SolverError)
 from .tranche_valuation import (TrancheCoefficients, beta_coeffs,
-                                coefficients_for, expected_npv, gamma_coeff,
-                                lambda_coeffs)
+                                expected_npv, gamma_coeff, lambda_coeffs)
 
 
 class InvalidQuotes(ValueError):
@@ -31,7 +37,7 @@ class InvalidQuotes(ValueError):
 
 
 class InfeasibleRegion(RuntimeError):
-    """The DPM polytope for this snapshot is empty."""
+    """The polytope for this snapshot is empty."""
 
 
 class UnboundedRatio(RuntimeError):
@@ -66,13 +72,6 @@ def monotonicity_block(m, n):
     return A, np.zeros(r)
 
 
-def pricing_row(coeffs, m, n):
-    """Flattened lambda_i beta_j coefficient row for one tranche."""
-    if len(coeffs.lam) != m or len(coeffs.beta) != n + 1:
-        raise ValueError("coefficient dimensions disagree with the matrix shape")
-    return np.outer(coeffs.lam, coeffs.beta).ravel()
-
-
 def marginal_blocks(m, n, marginal_means):
     """Row-sum and mean equality rows: sum_j q_ij = 1, sum_j j q_ij = mean_i."""
     K = n + 1
@@ -87,61 +86,88 @@ def marginal_blocks(m, n, marginal_means):
     return sp.csr_matrix(rows), rhs
 
 
-@dataclass
-class WeakFeasibilityProblem:
-    """Assembled constraint blocks for one snapshot's DPM polytope."""
-
-    A_eq: object
-    b_eq: np.ndarray
-    A_ub: object
-    b_ub: np.ndarray
-    m: int
-    n: int
-    n_tranches: int
-
-    @classmethod
-    def from_snapshot(cls, snapshot, curve, include_pricing=True, bid_ask=False):
-        m, n = snapshot.schedule.m, snapshot.portfolio.n
-        means = snapshot.portfolio.n * curve.grid(snapshot.schedule)
-        A_marg, b_marg = marginal_blocks(m, n, means)
-        A_mono, b_mono = monotonicity_block(m, n)
-
-        eq_rows, eq_rhs = [A_marg], [b_marg]
-        ub_rows, ub_rhs = [A_mono], [b_mono]
-        if include_pricing:
-            if bid_ask:
-                if snapshot.bid is None or snapshot.ask is None:
-                    raise InvalidQuotes("snapshot carries no bid/ask quotes")
-                for l, tr in enumerate(snapshot.tranches):
-                    _check_not_crossed(tr, snapshot.bid, snapshot.ask, l)
-                    # seller value is non-negative at the bid, non-positive at the ask
-                    cb = TrancheCoefficients.build(tr, snapshot.bid.upfront[l],
-                                                  snapshot.bid.spread[l], snapshot)
-                    ca = TrancheCoefficients.build(tr, snapshot.ask.upfront[l],
-                                                  snapshot.ask.spread[l], snapshot)
-                    ub_rows.append(sp.csr_matrix(-pricing_row(cb, m, n)[None, :]))
-                    ub_rhs.append(np.array([-cb.gamma]))
-                    ub_rows.append(sp.csr_matrix(pricing_row(ca, m, n)[None, :]))
-                    ub_rhs.append(np.array([ca.gamma]))
-            else:
-                for coeffs in coefficients_for(snapshot):
-                    eq_rows.append(sp.csr_matrix(pricing_row(coeffs, m, n)[None, :]))
-                    eq_rhs.append(np.array([coeffs.gamma]))
-        return cls(
-            A_eq=sp.vstack(eq_rows, format="csr"),
-            b_eq=np.concatenate(eq_rhs),
-            A_ub=sp.vstack(ub_rows, format="csr"),
-            b_ub=np.concatenate(ub_rhs),
-            m=m, n=n, n_tranches=snapshot.n_tranches,
-        )
-
-
 def _check_not_crossed(tranche, bid, ask, l):
     if tranche.quote_kind == "upfront":
         if bid.upfront[l] > ask.upfront[l]:
             raise InvalidQuotes(f"crossed up-front quotes on tranche {l}")
     elif bid.spread[l] > ask.spread[l]:
         raise InvalidQuotes(f"crossed spread quotes on tranche {l}")
+
+
+def _quote_constraints(snapshot, priced, bid_ask):
+    """``(coeffs, side)`` per quote constraint on the seller value v.
+
+    v = lam' q beta - gamma. ``side`` 0 asks v = 0 at the mid quote. A
+    bid/ask band gives two rows with side * v <= 0: side -1 keeps v >= 0
+    at the bid, side +1 keeps v <= 0 at the ask.
+    """
+    if not bid_ask:
+        return [(TrancheCoefficients.from_snapshot(snapshot, l), 0) for l in priced]
+    bid, ask = snapshot.bid, snapshot.ask
+    if bid is None or ask is None:
+        raise InvalidQuotes("snapshot carries no bid/ask quotes")
+    out = []
+    for l in priced:
+        tr = snapshot.tranches[l]
+        _check_not_crossed(tr, bid, ask, l)
+        out.append((TrancheCoefficients.build(tr, bid.upfront[l], bid.spread[l],
+                                              snapshot), -1))
+        out.append((TrancheCoefficients.build(tr, ask.upfront[l], ask.spread[l],
+                                              snapshot), 1))
+    return out
+
+
+@dataclass
+class _Polytope:
+    """Constraint blocks A_eq x = b_eq, A_ub x <= b_ub, x >= 0 of one snapshot.
+
+    ``x`` holds m rows of states + 1 columns; ``h`` is None when the
+    columns are the DPM itself and the h coefficients when they are a
+    generator law.
+    """
+
+    A_eq: object
+    b_eq: np.ndarray
+    A_ub: object
+    b_ub: np.ndarray
+    m: int
+    h: object
+
+
+def _assemble(cls, snapshot, curve, h, priced, bid_ask):
+    """Equalities are marginals then pricing; inequalities monotonicity then bands."""
+    m = snapshot.schedule.m
+    states = snapshot.portfolio.n if h is None else h.N
+    A_marg, b_marg = marginal_blocks(m, states, states * curve.grid(snapshot.schedule))
+    A_mono, b_mono = monotonicity_block(m, states)
+    eq_rows, eq_rhs = [A_marg], [b_marg]
+    ub_rows, ub_rhs = [A_mono], [b_mono]
+    for coeffs, side in _quote_constraints(snapshot, priced, bid_ask):
+        loss = coeffs.beta if h is None else h.h.T @ coeffs.beta
+        row = np.outer(coeffs.lam, loss).ravel()
+        if side == 0:
+            eq_rows.append(sp.csr_matrix(row[None, :]))
+            eq_rhs.append(np.array([coeffs.gamma]))
+        else:
+            ub_rows.append(sp.csr_matrix(side * row[None, :]))
+            ub_rhs.append(np.array([side * coeffs.gamma]))
+    return cls(A_eq=sp.vstack(eq_rows, format="csr"), b_eq=np.concatenate(eq_rhs),
+               A_ub=sp.vstack(ub_rows, format="csr"), b_ub=np.concatenate(ub_rhs),
+               m=m, h=h)
+
+
+class WeakFeasibilityProblem(_Polytope):
+    """The polytope over DPM entries q_ij, every quoted tranche priced."""
+
+    @classmethod
+    def from_snapshot(cls, snapshot, curve, bid_ask=False):
+        return _assemble(cls, snapshot, curve, None,
+                         range(snapshot.n_tranches), bid_ask)
+
+    def _law(self, x):
+        """The certificate and the DPM it prices through."""
+        dpm = DPM(x)
+        return dpm, dpm
 
 
 @dataclass
@@ -157,62 +183,52 @@ class WeakResult:
         return self.status is SolveStatus.FEASIBLE
 
 
-def _feasibility_solve(problem):
-    """Zero-objective solve with equalities posed as paired slack inequalities."""
+def _verify(snapshot, problem, bid_ask):
+    """Find a point of the polytope and check it as a certificate.
+
+    Returns ``(status, law, message)``. The point is repaired, validated as
+    a law and repriced against every quote; one that fails validation or
+    misses a quote by more than FEASIBILITY_TOL is a solver failure, never
+    a verdict.
+    """
+    # zero objective; the equalities go in as paired slack inequalities
     A_rel, b_rel = opt_backend.relax_equalities(problem.A_eq, problem.b_eq)
-    A_ub = sp.vstack([problem.A_ub, A_rel], format="csr")
-    b_ub = np.concatenate([problem.b_ub, b_rel])
-    return opt_backend.solve_lp(LinearProgram(A_ub=A_ub, b_ub=b_ub, bounds=(0, None)))
-
-
-def _result_from_solve(snapshot, problem, res, bid_ask):
+    res = opt_backend.solve_lp(LinearProgram(
+        A_ub=sp.vstack([problem.A_ub, A_rel], format="csr"),
+        b_ub=np.concatenate([problem.b_ub, b_rel]), bounds=(0, None)))
     if res.status is SolveStatus.INFEASIBLE:
-        return WeakResult(SolveStatus.INFEASIBLE, None, res.message)
+        return SolveStatus.INFEASIBLE, None, res.message
     if res.status is not SolveStatus.FEASIBLE:
-        return WeakResult(SolveStatus.NUMERICAL_FAILURE, None, res.message)
-    q = repair_structure(res.x.reshape(problem.m, problem.n + 1))
+        return SolveStatus.NUMERICAL_FAILURE, None, res.message
     try:
-        dpm = DPM(q)
-    except Exception as exc:  # pragma: no cover - solver contract violation
-        return WeakResult(SolveStatus.NUMERICAL_FAILURE, None,
-                          f"solution failed DPM validation: {exc}")
-    worst = _worst_mispricing(snapshot, dpm, bid_ask)
-    if worst > opt_backend.FEASIBILITY_TOL:
-        return WeakResult(SolveStatus.NUMERICAL_FAILURE, None,
-                          f"solution misprices a tranche by {worst:.3e}")
-    return WeakResult(SolveStatus.FEASIBLE, dpm,
-                      f"{res.message}; worst repricing error {worst:.3e}")
-
-
-def _worst_mispricing(snapshot, dpm, bid_ask):
+        law, dpm = problem._law(repair_structure(res.x.reshape(problem.m, -1)))
+    except (InvalidDPM, InvalidSolution) as exc:
+        return (SolveStatus.NUMERICAL_FAILURE, None,
+                f"solution failed validation: {exc}")
     worst = 0.0
-    if bid_ask:
-        for l, tr in enumerate(snapshot.tranches):
-            cb = TrancheCoefficients.build(tr, snapshot.bid.upfront[l],
-                                           snapshot.bid.spread[l], snapshot)
-            ca = TrancheCoefficients.build(tr, snapshot.ask.upfront[l],
-                                           snapshot.ask.spread[l], snapshot)
-            worst = max(worst, -expected_npv(dpm, cb), expected_npv(dpm, ca))
-        return worst
-    for coeffs in coefficients_for(snapshot):
-        worst = max(worst, abs(expected_npv(dpm, coeffs)))
-    return worst
+    for coeffs, side in _quote_constraints(snapshot, range(snapshot.n_tranches),
+                                           bid_ask):
+        v = expected_npv(dpm, coeffs)
+        worst = max(worst, side * v if side else abs(v))
+    if worst > opt_backend.FEASIBILITY_TOL:
+        what = "violates a quote band" if bid_ask else "misprices a tranche"
+        return SolveStatus.NUMERICAL_FAILURE, None, f"solution {what} by {worst:.3e}"
+    what = "band violation" if bid_ask else "repricing error"
+    return SolveStatus.FEASIBLE, law, f"{res.message}; worst {what} {worst:.3e}"
 
 
 def verify_weak(snapshot, curve=None):
     """Decide weak compatibility; a Feasible result carries a certifying DPM."""
     curve = _curve_or_calibrate(snapshot, curve)
     problem = WeakFeasibilityProblem.from_snapshot(snapshot, curve)
-    res = _feasibility_solve(problem)
-    return _result_from_solve(snapshot, problem, res, bid_ask=False)
+    return WeakResult(*_verify(snapshot, problem, bid_ask=False))
 
 
 def verify_weak_bid_ask(snapshot, curve=None):
     """Weak compatibility with two-sided quotes: v(bid) >= 0 >= v(ask) per tranche."""
     curve = _curve_or_calibrate(snapshot, curve)
     problem = WeakFeasibilityProblem.from_snapshot(snapshot, curve, bid_ask=True)
-    res = _feasibility_solve(problem)
-    return _result_from_solve(snapshot, problem, res, bid_ask=True)
+    return WeakResult(*_verify(snapshot, problem, bid_ask=True))
 
 
 def _loss_timing_coeffs(sched, disc):
@@ -223,13 +239,58 @@ def _loss_timing_coeffs(sched, disc):
     return lc
 
 
-def _raise_for_status(res):
-    if isinstance(res, SolveResult):
+def _target(attach, detach, quote_kind, fixed_running):
+    running = fixed_running if quote_kind == "upfront" else 0.0
+    return TrancheSpec(attach, detach, quote_kind, running)
+
+
+def _bounds(snapshot, problem, target, loss):
+    """(lower, upper) of the target tranche's quote over the problem's polytope.
+
+    ``loss`` is the target's loss vector in the problem's columns (beta, or
+    h' beta). An up-front quote is affine in the columns, one LP per end; a
+    running spread is a ratio of affine forms, one Charnes-Cooper LFP per
+    end, whose denominator is the outstanding-notional annuity.
+    """
+    sched, disc = snapshot.schedule, snapshot.discount
+    blocks = dict(A_ub=problem.A_ub, b_ub=problem.b_ub,
+                  A_eq=problem.A_eq, b_eq=problem.b_eq)
+    if target.quote_kind == "upfront":
+        running = target.running_spread
+        c = np.outer(lambda_coeffs(running, sched, disc), loss).ravel()
+        gamma0 = gamma_coeff(target, 0.0, running, sched, disc)
+
+        def solve(sense):
+            return opt_backend.solve_lp(LinearProgram(
+                c=c, bounds=(0, None), sense=sense, **blocks))
+
+        def quote(res):
+            return (res.objective - gamma0) / target.width
+    else:
+        acc_disc = disc(np.asarray(sched.payment_dates)) * sched.accruals
+        c_num = np.outer(_loss_timing_coeffs(sched, disc), loss).ravel()
+        c_den = -np.outer(acc_disc, loss).ravel()
+        d_den = target.width * float(acc_disc.sum())
+
+        def solve(sense):
+            return opt_backend.solve_lfp(c_num, 0.0, c_den, d_den, sense=sense,
+                                         **blocks)
+
+        def quote(res):
+            return res.objective
+    out = []
+    for sense in ("min", "max"):
+        try:
+            res = solve(sense)
+        except DegenerateDenominator as exc:
+            raise UnboundedRatio(str(exc)) from exc
         if res.status is SolveStatus.INFEASIBLE:
-            raise InfeasibleRegion("the constrained DPM polytope is empty")
+            law = "DPM" if problem.h is None else "generator"
+            raise InfeasibleRegion(f"the constrained {law} polytope is empty")
         if res.status is not SolveStatus.OPTIMAL:
             raise SolverError(f"bound solve failed: {res.status.value}: {res.message}")
-    return res
+        out.append(quote(res))
+    return tuple(out)
 
 
 def nonstandard_tranche_bounds(snapshot, attach, detach, quote_kind,
@@ -245,41 +306,8 @@ def nonstandard_tranche_bounds(snapshot, attach, detach, quote_kind,
     polytope is empty and UnboundedRatio when the spread denominator (the
     outstanding-notional annuity) can reach zero.
     """
+    target = _target(attach, detach, quote_kind, fixed_running)
     curve = _curve_or_calibrate(snapshot, curve)
     problem = WeakFeasibilityProblem.from_snapshot(snapshot, curve)
-    sched, disc = snapshot.schedule, snapshot.discount
-    target = TrancheSpec(attach, detach, "upfront", fixed_running) \
-        if quote_kind == "upfront" else TrancheSpec(attach, detach, "spread")
-    beta = beta_coeffs(target, snapshot.portfolio)
-
-    if quote_kind == "upfront":
-        lam = lambda_coeffs(fixed_running, sched, disc)
-        c = np.outer(lam, beta).ravel()
-        gamma0 = gamma_coeff(target, 0.0, fixed_running, sched, disc)
-        out = []
-        for sense in ("min", "max"):
-            res = _raise_for_status(opt_backend.solve_lp(LinearProgram(
-                c=c, A_ub=problem.A_ub, b_ub=problem.b_ub,
-                A_eq=problem.A_eq, b_eq=problem.b_eq, bounds=(0, None), sense=sense)))
-            out.append((res.objective - gamma0) / target.width)
-        return tuple(out)
-
-    if quote_kind != "spread":
-        raise ValueError("quote_kind must be 'upfront' or 'spread'")
-    lc = _loss_timing_coeffs(sched, disc)
-    acc_disc = disc(np.asarray(sched.payment_dates)) * sched.accruals
-    annuity = float(acc_disc.sum())
-    c_num = np.outer(lc, beta).ravel()
-    c_den = -np.outer(acc_disc, beta).ravel()
-    d_den = target.width * annuity
-    out = []
-    for sense in ("min", "max"):
-        try:
-            res = _raise_for_status(opt_backend.solve_lfp(
-                c_num, 0.0, c_den, d_den,
-                A_ub=problem.A_ub, b_ub=problem.b_ub,
-                A_eq=problem.A_eq, b_eq=problem.b_eq, sense=sense))
-        except DegenerateDenominator as exc:
-            raise UnboundedRatio(str(exc)) from exc
-        out.append(res.objective)
-    return tuple(out)
+    return _bounds(snapshot, problem, target,
+                   beta_coeffs(target, snapshot.portfolio))

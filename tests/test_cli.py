@@ -177,6 +177,20 @@ def test_ranges_contain_every_quote(runner):
         assert entry["lower"] <= entry["quote"] <= entry["upper"]
 
 
+def test_ranges_report_an_empty_polytope_without_a_traceback(runner, snapshot,
+                                                            tmp_path):
+    # with the 12-100% tranche at 300 bp no N=50 law prices the quotes other
+    # than the equity tranche, so its range has no feasible region
+    raw = snapshot_to_dict(snapshot)
+    raw["tranches"][3]["quote_value"] = 300.0
+    res = runner.invoke(main, ["ranges", "-i", _write_snapshot(tmp_path, raw),
+                               "--n-seq", "50"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.strip() == ("no strong solution at N=50 prices the "
+                                  "quotes other than tranche [0,0.03]")
+
+
 def test_bounds_tranche_pins_the_index_spread(runner):
     res = runner.invoke(main, ["bounds-tranche", "-i", str(SNAPSHOT_PATH),
                                "--attach", "0.0", "--detach", "1.0",

@@ -5,8 +5,10 @@ import copy
 import numpy as np
 import pytest
 
+from cdo_compat import opt_backend
 from cdo_compat.market_model import snapshot_from_dict, snapshot_to_dict
 from cdo_compat.opt_backend import SolveStatus
+from cdo_compat.strong_compat import verify_strong_at_N, verify_strong_bid_ask
 from cdo_compat.tranche_valuation import coefficients_for, expected_npv
 from cdo_compat.weak_compat import (InfeasibleRegion, InvalidQuotes,
                                     marginal_blocks, monotonicity_block,
@@ -100,7 +102,12 @@ def test_crossed_bands_raise(snapshot):
         verify_weak_bid_ask(crossed)
 
 
-def test_disjoint_duplicate_bands_are_infeasible(snapshot):
+@pytest.mark.parametrize("verify", [
+    pytest.param(verify_weak_bid_ask, id="weak"),
+    # strong laws map into the weak polytope, so the bands conflict there too
+    pytest.param(lambda snap: verify_strong_bid_ask(snap, 50), id="strong"),
+])
+def test_disjoint_duplicate_bands_are_infeasible(snapshot, verify):
     raw = snapshot_to_dict(snapshot)
     for l, (bid, ask) in {0: (10.0, 11.0), 1: (4.3, 4.8),
                           2: (105.0, 108.0), 3: (27.0, 28.0)}.items():
@@ -109,8 +116,32 @@ def test_disjoint_duplicate_bands_are_infeasible(snapshot):
     clone = copy.deepcopy(raw["tranches"][0])
     clone["bid_value"], clone["ask_value"] = 40.0, 41.0
     raw["tranches"].append(clone)
-    res = verify_weak_bid_ask(snapshot_from_dict(raw))
+    res = verify(snapshot_from_dict(raw))
     assert res.status is SolveStatus.INFEASIBLE
+    assert not res.feasible
+
+
+@pytest.mark.parametrize("verify, bid_ask", [
+    pytest.param(verify_weak, False, id="weak"),
+    pytest.param(verify_weak_bid_ask, True, id="weak-bid-ask"),
+    pytest.param(lambda snap: verify_strong_at_N(snap, 50), False, id="strong"),
+    pytest.param(lambda snap: verify_strong_bid_ask(snap, 50), True,
+                 id="strong-bid-ask"),
+])
+def test_a_point_that_misses_the_quotes_is_a_solver_failure(snapshot, monkeypatch,
+                                                            verify, bid_ask):
+    # all-ones repairs to uniform rows: a valid law that prices no quote, so
+    # the certificate check must refuse it instead of reporting a verdict
+    monkeypatch.setattr(opt_backend, "solve_lp", lambda lp: opt_backend.SolveResult(
+        SolveStatus.FEASIBLE, x=np.ones(lp.n_vars())))
+    snap = _banded(snapshot, {0: (28.2, 28.7), 1: (4.3, 4.8), 2: (105.0, 108.0),
+                              3: (27.0, 28.0)}) if bid_ask else snapshot
+    res = verify(snap)
+    assert res.status is SolveStatus.NUMERICAL_FAILURE
+    assert not res.feasible
+    assert res.certificate.startswith(
+        "solution violates a quote band by" if bid_ask
+        else "solution misprices a tranche by")
 
 
 def test_monotonicity_block_signs():
