@@ -14,14 +14,13 @@ from .opt_backend import (DegenerateDenominator, SolveStatus, SolverError,
 from .risk_engine import (HedgeReport, InfeasibleConstraints,
                           SimulationSummary, posterior_dpm, read_samples,
                           simulate_npv, spread_delta)
-from .strong_compat import (GammaDistortion, GeneratorPath, GeneratorSampler,
-                            HCoefficients, InvalidSolution, IterationLimit,
-                            IterativeResult, StrongResult, StrongSolution,
-                            build_generator_sampler, distortion_value,
-                            h_matrix, iterative_verify,
-                            nonstandard_names_bounds, qij_from_p, range_at_N,
-                            strong_from_csv, strong_to_csv,
-                            verify_strong_at_N, verify_strong_bid_ask)
+from .strong_compat import (GammaDistortion, GeneratorSampler, HCoefficients,
+                            InvalidSolution, IterationLimit, IterativeResult,
+                            StrongResult, StrongSolution, h_matrix,
+                            iterative_verify, nonstandard_names_bounds,
+                            qij_from_p, range_at_N, strong_from_csv,
+                            strong_to_csv, verify_strong_at_N,
+                            verify_strong_bid_ask)
 from .tranche_valuation import (DimensionMismatch, NonMonotonePath,
                                 TrancheCoefficients, beta_coeffs,
                                 coefficients_for, expected_npv, gamma_coeff,
@@ -34,17 +33,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AugmentedDPM", "DPM", "DegenerateDenominator", "DimensionMismatch",
-    "DiscountCurve", "GammaDistortion", "GeneratorPath", "GeneratorSampler",
-    "HCoefficients", "HedgeReport", "InfeasibleConstraints",
-    "InfeasibleRegion", "InvalidDPM", "InvalidQuotes", "InvalidRecovery",
-    "InvalidSolution", "IterationLimit", "IterativeResult",
-    "MarginalDefaultCurve", "MarketSnapshot", "NoRoot", "NonMonotonePath",
-    "PaymentSchedule", "PortfolioSpec", "QuoteVector", "SimulationSummary",
-    "SolveStatus", "SolverError", "StrongResult", "StrongSolution",
-    "TooLargeForExact", "TrancheCoefficients", "TrancheSpec", "WeakResult",
-    "beta_coeffs", "build_generator_sampler", "calibrate_hazard",
-    "cds_value_change", "coefficients_for", "default_times_from_dpm",
-    "distortion_value", "dpm_from_csv", "dpm_to_csv", "expected_npv",
+    "DiscountCurve", "GammaDistortion", "GeneratorSampler", "HCoefficients",
+    "HedgeReport", "InfeasibleConstraints", "InfeasibleRegion", "InvalidDPM",
+    "InvalidQuotes", "InvalidRecovery", "InvalidSolution", "IterationLimit",
+    "IterativeResult", "MarginalDefaultCurve", "MarketSnapshot", "NoRoot",
+    "NonMonotonePath", "PaymentSchedule", "PortfolioSpec", "QuoteVector",
+    "SimulationSummary", "SolveStatus", "SolverError", "StrongResult",
+    "StrongSolution", "TooLargeForExact", "TrancheCoefficients", "TrancheSpec",
+    "WeakResult", "beta_coeffs", "calibrate_hazard", "cds_value_change",
+    "coefficients_for", "default_times_from_dpm", "dpm_from_csv", "dpm_to_csv",
+    "expected_npv",
     "gamma_coeff", "h_matrix", "implied_copula_value", "implied_index_spread",
     "iterative_verify", "lambda_coeffs", "load_snapshot",
     "nonstandard_names_bounds", "nonstandard_tranche_bounds", "posterior_dpm",

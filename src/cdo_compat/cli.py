@@ -87,6 +87,20 @@ def _verdict(res):
     return "no", EXIT_INCOMPATIBLE
 
 
+def _no_certificate(res, label, task, as_json):
+    """Report a certificate solve that found no law; returns the exit code.
+
+    ``hedge`` and ``simulate`` solve for the law they need (a prior, a
+    generator law) unless given one; a failed solve is reported as that
+    verification would report it, with its verdict and exit code.
+    """
+    word, code = _verdict(res)
+    _emit({"compatible": False, "status": res.status.value,
+           "certificate": res.certificate},
+          as_json, [f"{label}: {word}; no {task}", res.certificate])
+    return code
+
+
 def _quote_display(tranche, quotes, l):
     if tranche.quote_kind == "upfront":
         return quotes.upfront[l] * 100.0, "pct"
@@ -390,8 +404,7 @@ def hedge(input_path, out_path, as_json, shift_bps, prior_path):
     else:
         res = verify_weak(snap)
         if not res.feasible:
-            click.echo("quotes are not weakly compatible; no hedge", err=True)
-            return EXIT_INCOMPATIBLE
+            return _no_certificate(res, "weakly compatible", "hedge", as_json)
         prior = res.dpm
     report = spread_delta(snap, prior, shift_bps=shift_bps)
     if out_path:
@@ -430,8 +443,8 @@ def simulate(input_path, out_path, as_json, paths, seed, positions,
     else:
         res = verify_strong_at_N(snap, resolution)
         if not res.feasible:
-            click.echo(f"no strong solution at N={resolution}", err=True)
-            return EXIT_INCOMPATIBLE
+            return _no_certificate(res, f"strongly compatible at N={resolution}",
+                                   "simulation", as_json)
         solution = res.solution
     pos = (np.array([float(v) for v in positions.split(",")])
            if positions else None)

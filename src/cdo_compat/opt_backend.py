@@ -90,7 +90,6 @@ class SolveResult:
     x: np.ndarray | None = None
     objective: float | None = None
     message: str = ""
-    duality_gap: float | None = None
     extra: dict = field(default_factory=dict)
 
 
@@ -151,19 +150,6 @@ def _maybe_dump(lp):
         dump_lp(lp, os.path.join(dump_dir, f"lp_{_DUMP_COUNTER[0]:04d}.lp"))
 
 
-def _duality_gap(res, lp, c):
-    """Gap from HiGHS marginals. Only meaningful when no finite nonzero bound binds."""
-    try:
-        dual = 0.0
-        if lp.b_eq is not None and len(lp.b_eq):
-            dual += float(np.dot(lp.b_eq, res.eqlin.marginals))
-        if lp.b_ub is not None and len(lp.b_ub):
-            dual += float(np.dot(lp.b_ub, res.ineqlin.marginals))
-        return abs(float(np.dot(c, res.x)) - dual)
-    except (AttributeError, TypeError):
-        return None
-
-
 def solve_lp(lp):
     """Solve a LinearProgram; statuses follow SolveStatus semantics.
 
@@ -182,9 +168,8 @@ def solve_lp(lp):
     )
     if res.status == 0:
         status = SolveStatus.FEASIBLE if lp.c is None else SolveStatus.OPTIMAL
-        gap = None if lp.c is None else _duality_gap(res, lp, sign * c)
         return SolveResult(status, np.asarray(res.x), float(sign * res.fun),
-                           res.message, gap)
+                           res.message)
     if res.status == 2:
         return SolveResult(SolveStatus.INFEASIBLE, message=res.message)
     if res.status == 3:
@@ -302,18 +287,18 @@ def _newton_direction(A, A_sq, q, g, v, n_eq):
         bound[keep[cross]] = True
 
 
-def solve_relative_entropy(reference, A_eq, b_eq, A_ub=None, b_ub=None,
-                           warm_start=None):
+def solve_relative_entropy(reference, A_eq, b_eq, A_ub=None, b_ub=None):
     """min sum_k q_k log(q_k / reference_k) s.t. A_eq q = b_eq, A_ub q <= b_ub, q >= 0.
 
     The reference weights must be strictly positive (callers regularize zeros
     before passing them in). Solved in the dual: q = ref * exp(-1 - A_eq'nu
     - A_ub'lam), and v = (nu, lam >= 0) minimizes sum(q) + b_eq'nu + b_ub'lam
     by Bertsekas's projected Newton method (SIAM J. Control Optim. 20(2),
-    1982). Steps backtrack along the projection arc under the Armijo rule
-    (Boyd & Vandenberghe 2004, ch. 10), or, once the predicted decrease is
-    below the objective's rounding noise, until the KKT residual falls; past
-    KKT_TOL, full steps continue while it falls. OPTIMAL means every residual
+    1982), starting at zero multipliers, where q is the reference over e.
+    Steps backtrack along the projection arc under the Armijo rule (Boyd &
+    Vandenberghe 2004, ch. 10), or, once the predicted decrease is below the
+    objective's rounding noise, until the KKT residual falls; past KKT_TOL,
+    full steps continue while it falls. OPTIMAL means every residual
     is below KKT_TOL; otherwise an LP tells INFEASIBLE from numerical
     failure. ``extra`` holds ``iterations`` (Newton steps), ``evaluations``
     (dual evaluations), ``kkt`` and ``wall_s``.
@@ -333,7 +318,7 @@ def solve_relative_entropy(reference, A_eq, b_eq, A_ub=None, b_ub=None,
     A_sq = A.multiply(A).tocsr()
     lower = np.where(np.arange(len(b)) < n_eq, -np.inf, 0.0)
 
-    v = np.maximum(0.0 if warm_start is None else warm_start, lower)
+    v = np.zeros(len(b))
     f, g, q, kkt = _entropy_dual(v, logref, A, b, n_eq)
     evaluations, iterations = 1, 0
     best = (kkt, v, q)

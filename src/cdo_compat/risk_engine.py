@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 from . import opt_backend
 from .dpm_core import DPM, repair_structure
@@ -41,60 +39,23 @@ class InfeasibleConstraints(RuntimeError):
     """No distribution satisfies the bumped marginals and the structure."""
 
 
-def _row_tilt_duals(ref_rows, target_means):
-    """Per-row exponential-tilt duals used to warm start the entropy solve.
-
-    Row by row, solve for the tilt nu with sum_j j r_j e^{-nu j} matching the
-    target mean, entirely in log space. The matched duals reproduce the
-    tilted rows exactly when the monotonicity constraints are slack, which on
-    small bumps they almost always are.
-    """
-    m, width = ref_rows.shape
-    j = np.arange(width, dtype=float)
-    logref = np.log(ref_rows)
-    nu_row = np.empty(m)
-    nu_mean = np.empty(m)
-    for i in range(m):
-        target = target_means[i]
-
-        def mean_gap(nu, row=logref[i]):
-            w = row - nu * j
-            return math.exp(logsumexp(w, b=j) - logsumexp(w)) - target
-
-        lo, hi = -1.0, 1.0
-        for _ in range(80):
-            if mean_gap(lo) > 0:
-                break
-            lo *= 2.0
-        for _ in range(80):
-            if mean_gap(hi) < 0:
-                break
-            hi *= 2.0
-        nu = brentq(mean_gap, lo, hi, xtol=1e-13)
-        nu_mean[i] = nu
-        nu_row[i] = logsumexp(logref[i] - nu * j) - 1.0
-    return nu_row, nu_mean
-
-
 def posterior_dpm(prior, shifted_curve, sched, eps_reg=1e-20):
     """Minimum relative entropy update of a prior DPM to bumped marginals.
 
     Constraints: unit rows, per-date means n F~(T_i) from the shifted curve,
     and non-decreasing tail sums. The reference measure is the prior with an
     eps_reg floor so zero prior cells stay essentially forbidden rather than
-    undefined. Returns the posterior DPM and the solver record: Newton
-    steps (``iterations``), dual evaluations (``evaluations``), the final
-    KKT residual (``kkt``) and the solve's wall time (``wall_s``).
+    undefined. The entropy solve starts at zero multipliers. Returns the
+    posterior DPM and the solver record: Newton steps (``iterations``), dual
+    evaluations (``evaluations``), the final KKT residual (``kkt``) and the
+    solve's wall time (``wall_s``).
     """
     m, n = prior.m, prior.n
     means = prior.n * shifted_curve.grid(sched)
     A_eq, b_eq = marginal_blocks(m, n, means)
     A_ub, b_ub = monotonicity_block(m, n)
-    ref = prior.q + eps_reg
-    nu_row, nu_mean = _row_tilt_duals(ref, means)
-    warm = np.concatenate([nu_row, nu_mean, np.zeros(A_ub.shape[0])])
     res = opt_backend.solve_relative_entropy(
-        ref.ravel(), A_eq, b_eq, A_ub=A_ub, b_ub=b_ub, warm_start=warm)
+        (prior.q + eps_reg).ravel(), A_eq, b_eq, A_ub=A_ub, b_ub=b_ub)
     if res.status is SolveStatus.INFEASIBLE:
         raise InfeasibleConstraints(res.message)
     if res.status is not SolveStatus.OPTIMAL:

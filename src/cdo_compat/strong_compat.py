@@ -22,8 +22,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import betaln, gammaln
 
-from .dpm_core import (DPM, MONOTONE_TOL, NEGATIVITY_CLAMP, ROW_SUM_TOL,
-                       InvalidSolution, tail_sums)
+from .dpm_core import DPM, InvalidSolution, tail_sums, validate_dpm
 from .market_model import PortfolioSpec
 from .opt_backend import SolveStatus, SolverError
 from .tranche_valuation import DimensionMismatch, beta_coeffs
@@ -83,7 +82,9 @@ class StrongSolution:
         p = np.asarray(self.p, float)
         if p.ndim != 2 or p.shape[1] != self.N + 1:
             raise DimensionMismatch(f"matrix {p.shape} does not match N = {self.N}")
-        _validate_generator_law(p)
+        report = validate_dpm(p)
+        if not report.valid:
+            raise InvalidSolution(f"generator law fails DPM constraints: {report}")
         p = np.clip(p, 0.0, None)
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
@@ -94,16 +95,6 @@ class StrongSolution:
 
     def tail_sums(self):
         return tail_sums(self.p)
-
-
-def _validate_generator_law(p):
-    if np.max(np.abs(p.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
-        raise InvalidSolution("rows must sum to one")
-    if p.min() < -NEGATIVITY_CLAMP:
-        raise InvalidSolution(f"negative entry {p.min():.3e}")
-    theta = tail_sums(p)
-    if p.shape[0] > 1 and np.max(theta[:-1, 1:] - theta[1:, 1:]) > MONOTONE_TOL:
-        raise InvalidSolution("tail sums must be non-decreasing in time")
 
 
 def qij_from_p(solution, h):
@@ -263,32 +254,7 @@ def nonstandard_names_bounds(snapshot, N, n_names, attach, detach, quote_kind,
                    h_matrix(pool.n, N).h.T @ beta_coeffs(target, pool))
 
 
-# Generator paths and the gamma distortion.
-
-@dataclass(frozen=True)
-class GeneratorPath:
-    """One realized path of phi on the augmented grid F(T_0) .. F(T_{m+1}).
-
-    ``values[i]`` is phi(F(T_i)) for i = 0..m+1; the driving uniform is kept
-    for reproducibility. Between grid points the generator interpolates
-    linearly, which ``value_at`` exposes; simulation itself only reads the
-    grid values.
-    """
-
-    values: np.ndarray
-    u: float
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if np.any(np.diff(v) < 0):
-            raise InvalidSolution("generator paths are non-decreasing")
-        object.__setattr__(self, "values", v)
-
-    def value_at(self, u_query, marginal_grid):
-        """Linear interpolation of phi between the grid marginals."""
-        return np.interp(u_query, np.asarray(marginal_grid, float),
-                         self.values.astype(float))
-
+# The generator sampler and the gamma distortion.
 
 class GeneratorSampler:
     """Samples generator paths from a StrongSolution via one uniform per path.
@@ -327,35 +293,6 @@ class GeneratorSampler:
                                                  side="right")
         return out
 
-    def sample(self, u):
-        values = self.sample_matrix(np.asarray([u]))[0]
-        return GeneratorPath(values, float(u))
-
-
-def build_generator_sampler(solution):
-    """Sampler over generator paths whose grid law matches the solution rows."""
-    return GeneratorSampler(solution)
-
-
-def distortion_value(k, xi_path, eta_path, N):
-    """X = xi_k / (xi_k + eta_{N-k}) with the exact endpoint conventions.
-
-    ``xi_path`` and ``eta_path`` are cumulative unit-gamma processes on the
-    integer grid 0..N with value 0 at index 0, so k = 0 gives X = 0 and
-    k = N gives X = 1 without special-casing randomness.
-    """
-    if not 0 <= k <= N:
-        raise ValueError("generator state outside 0..N")
-    xi = np.asarray(xi_path, float)
-    eta = np.asarray(eta_path, float)
-    if len(xi) != N + 1 or len(eta) != N + 1 or xi[0] != 0.0 or eta[0] != 0.0:
-        raise ValueError("gamma paths must be cumulative on 0..N starting at 0")
-    num = xi[k]
-    den = xi[k] + eta[N - k]
-    if den == 0.0:
-        return 0.0 if k == 0 else 1.0
-    return float(num / den)
-
 
 @dataclass
 class GammaDistortion:
@@ -375,7 +312,7 @@ class GammaDistortion:
 
     @classmethod
     def from_solution(cls, solution):
-        return cls(build_generator_sampler(solution))
+        return cls(GeneratorSampler(solution))
 
     def sample(self, rng, size):
         """Draw ``size`` paths: returns ``(phi, x)``, both of shape (size, m+2).

@@ -52,38 +52,23 @@ def _curve_or_calibrate(snapshot, curve):
 
 
 def monotonicity_block(m, n):
-    """Sparse rows for Theta_{i,j} <= Theta_{i+1,j}, i = 1..m-1, j = 1..n."""
-    K = n + 1
-    rows, cols, vals = [], [], []
-    r = 0
-    for i in range(m - 1):
-        for j in range(1, n + 1):
-            span = np.arange(j, n + 1)
-            k = len(span)
-            rows.append(np.full(2 * k, r))
-            cols.append(np.concatenate([i * K + span, (i + 1) * K + span]))
-            vals.append(np.concatenate([np.ones(k), -np.ones(k)]))
-            r += 1
-    if r == 0:
-        return sp.csr_matrix((0, m * K)), np.zeros(0)
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(r, m * K)).tocsr()
-    return A, np.zeros(r)
+    """Sparse rows for Theta_{i,j} <= Theta_{i+1,j}, i = 1..m-1, j = 1..n.
+
+    A date difference (row i: +1 at date i, -1 at date i+1) times the
+    per-date tail-sum operator (row j: ones on states j..n).
+    """
+    A = sp.kron(sp.eye(m - 1, m) - sp.eye(m - 1, m, k=1),
+                np.triu(np.ones((n, n + 1)), k=1), format="csr")
+    return A, np.zeros(A.shape[0])
 
 
 def marginal_blocks(m, n, marginal_means):
     """Row-sum and mean equality rows: sum_j q_ij = 1, sum_j j q_ij = mean_i."""
-    K = n + 1
-    rows = np.zeros((2 * m, m * K))
-    rhs = np.empty(2 * m)
-    j = np.arange(K, dtype=float)
-    for i in range(m):
-        rows[i, i * K:(i + 1) * K] = 1.0
-        rhs[i] = 1.0
-        rows[m + i, i * K:(i + 1) * K] = j
-        rhs[m + i] = marginal_means[i]
-    return sp.csr_matrix(rows), rhs
+    dates = sp.eye(m)
+    A = sp.vstack([sp.kron(dates, np.ones(n + 1)),
+                   sp.kron(dates, np.arange(n + 1.0))], format="csr")
+    A.eliminate_zeros()  # the j = 0 mean coefficients
+    return A, np.concatenate([np.ones(m), marginal_means])
 
 
 def _check_not_crossed(tranche, bid, ask, l):

@@ -152,7 +152,9 @@ def test_solver_failure_is_not_an_incompatible_verdict(runner, snapshot,
                  ["verify-bid-ask", "-i", banded, "--mode", "strong",
                   "--resolution", "50"],
                  ["verify-strong", "-i", str(SNAPSHOT_PATH),
-                  "--resolution", "50"]):
+                  "--resolution", "50"],
+                 ["hedge", "-i", str(SNAPSHOT_PATH)],
+                 ["simulate", "-i", str(SNAPSHOT_PATH), "--resolution", "50"]):
         res = runner.invoke(main, argv + ["--json"])
         assert res.exit_code == 2, argv
         assert json.loads(res.output)["status"] == "numerical_failure"

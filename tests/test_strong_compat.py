@@ -9,11 +9,9 @@ from scipy.stats import ks_2samp
 from cdo_compat.dpm_core import validate_dpm
 from cdo_compat.market_model import snapshot_from_dict, snapshot_to_dict
 from cdo_compat.opt_backend import FEASIBILITY_TOL
-from cdo_compat.strong_compat import (GammaDistortion, GeneratorPath,
-                                      GeneratorSampler, IterationLimit,
-                                      InvalidSolution, StrongSolution,
-                                      build_generator_sampler,
-                                      distortion_value, h_matrix,
+from cdo_compat.strong_compat import (GammaDistortion, GeneratorSampler,
+                                      IterationLimit, InvalidSolution,
+                                      StrongSolution, h_matrix,
                                       iterative_verify,
                                       nonstandard_names_bounds, qij_from_p,
                                       range_at_N, strong_from_csv,
@@ -197,7 +195,7 @@ def test_nonstandard_names_bounds_reject_unknown_kind(snapshot):
 
 
 def test_sampler_hits_the_boundary_states_exactly():
-    sampler = build_generator_sampler(_toy_solution())
+    sampler = GeneratorSampler(_toy_solution())
     u = np.linspace(0.01, 0.99, 200)
     phi = sampler.sample_matrix(u)
     assert np.all(phi[:, 0] == 0)
@@ -207,7 +205,7 @@ def test_sampler_hits_the_boundary_states_exactly():
 
 def test_sampler_reproduces_the_grid_law():
     sol = _toy_solution()
-    sampler = build_generator_sampler(sol)
+    sampler = GeneratorSampler(sol)
     rng = np.random.default_rng(1347)
     draws = 40000
     phi = sampler.sample_matrix(rng.uniform(size=draws))
@@ -220,33 +218,11 @@ def test_sampler_reproduces_the_grid_law():
 
 
 def test_sampler_rejects_boundary_uniforms():
-    sampler = build_generator_sampler(_toy_solution())
+    sampler = GeneratorSampler(_toy_solution())
     with pytest.raises(InvalidSolution):
         sampler.sample_matrix(np.array([0.0, 0.5]))
     with pytest.raises(InvalidSolution):
-        sampler.sample(1.0)
-
-
-def test_generator_path_interpolates_between_grid_marginals():
-    path = GeneratorPath(np.array([0, 1, 3, 4]), 0.4)
-    grid = np.array([0.0, 0.2, 0.6, 1.0])
-    assert path.value_at(0.0, grid) == 0.0
-    assert path.value_at(1.0, grid) == 4.0
-    assert path.value_at(0.4, grid) == pytest.approx(2.0)
-    with pytest.raises(InvalidSolution):
-        GeneratorPath(np.array([0, 2, 1, 4]), 0.4)
-
-
-def test_distortion_value_conventions():
-    xi = np.array([0.0, 1.0, 3.0])
-    eta = np.array([0.0, 2.0, 5.0])
-    assert distortion_value(0, xi, eta, 2) == 0.0
-    assert distortion_value(2, xi, eta, 2) == 1.0
-    assert distortion_value(1, xi, eta, 2) == pytest.approx(1.0 / 3.0)
-    with pytest.raises(ValueError):
-        distortion_value(3, xi, eta, 2)
-    with pytest.raises(ValueError):
-        distortion_value(1, xi[1:], eta[1:], 2)
+        sampler.sample_matrix(1.0)
 
 
 def _full_path_distortion(rng, draws, N, states):
@@ -307,7 +283,7 @@ def test_sampler_paths_stay_monotone_within_the_tail_tolerance():
     # MONOTONE_TOL admits; a uniform in that sliver must not step down
     p = np.array([[0.5 - 5e-10, 0.5 + 5e-10, 0.0],
                   [0.5, 0.0, 0.5]])
-    sampler = build_generator_sampler(StrongSolution(p, 2))
+    sampler = GeneratorSampler(StrongSolution(p, 2))
     phi = sampler.sample_matrix(np.array([0.5 + 2.5e-10, 0.25, 0.75]))
     assert np.all(np.diff(phi, axis=1) >= 0)
     _, x = GammaDistortion(sampler).sample(np.random.default_rng(3), 1000)

@@ -1,9 +1,11 @@
 """The benchmark's traced-run shim still installs against the package.
 
-`perfbench/tracing.py` wraps the polytope builders by class and method name;
-a rename in the package would silently zero its assembly counts. The shim
-is imported by path and run in a fresh interpreter, so its rebinding of
-package names cannot leak into the rest of the suite.
+`perfbench/tracing.py` wraps the polytope builders and the sampler's two
+stages by class and method name; a rename in the package, or a simulator
+that stopped calling those methods, would silently zero its assembly counts
+and sampler spans. The shim is imported by path and run in a fresh
+interpreter, so its rebinding of package names cannot leak into the rest of
+the suite.
 """
 
 import json
@@ -23,10 +25,12 @@ tracing = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracing)
 tracer = tracing.Tracer()
 tracer.install()
-from cdo_compat import load_snapshot, range_at_N, verify_weak
+from cdo_compat import (load_snapshot, range_at_N, simulate_npv,
+                        verify_strong_at_N, verify_weak)
 snap = load_snapshot(sys.argv[2])
 verify_weak(snap)
 range_at_N(snap, [0, 1, 2], 3, N=50)
+simulate_npv(verify_strong_at_N(snap, 50).solution, snap, 1000, seed=1)
 print(json.dumps(tracer.metrics()))
 """
 
@@ -43,3 +47,5 @@ def test_tracer_counts_both_polytope_assemblies(tmp_path):
     metrics = json.loads(res.stdout)
     assert metrics["weak_compat.assemble_calls"] >= 1
     assert metrics["strong_compat.assemble_calls"] >= 1
+    assert metrics["strong_compat.generator_s"] > 0.0
+    assert metrics["strong_compat.distortion_s"] > 0.0

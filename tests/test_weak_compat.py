@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cdo_compat import opt_backend
+from cdo_compat.dpm_core import tail_sums, validate_dpm
 from cdo_compat.market_model import snapshot_from_dict, snapshot_to_dict
 from cdo_compat.opt_backend import SolveStatus
 from cdo_compat.strong_compat import verify_strong_at_N, verify_strong_bid_ask
@@ -155,6 +156,23 @@ def test_monotonicity_block_signs():
     assert np.max(a_ub @ good.ravel()) <= 1e-15
     bad = good[::-1]
     assert np.max(a_ub @ bad.ravel()) > 0.0
+    # row (i, j) is Theta_{i,j} - Theta_{i+1,j}, checked bit for bit on a
+    # valid law in 64ths, whose partial sums are all exact: distinct tail
+    # sums, strictly decreasing in j and increasing in i
+    m, n = 4, 6
+    rng = np.random.default_rng(11)
+    ranked = np.sort(rng.choice(np.arange(1, 64), size=m * n, replace=False))
+    tails = np.hstack([np.full((m, 1), 64), ranked.reshape(n, m)[::-1].T])
+    q = np.diff(np.hstack([tails, np.zeros((m, 1), int)]), axis=1) / -64.0
+    assert validate_dpm(q).valid
+    a_ub, b_ub = monotonicity_block(m, n)
+    theta = tail_sums(q)
+    np.testing.assert_array_equal(a_ub @ q.ravel(),
+                                  (theta[:-1, 1:] - theta[1:, 1:]).ravel())
+    assert b_ub.shape == (a_ub.shape[0],)
+    # one date leaves nothing to compare
+    a_one, b_one = monotonicity_block(1, n)
+    assert a_one.shape == (0, n + 1) and b_one.shape == (0,)
 
 
 def test_marginal_blocks_reproduce_row_sums_and_means():
@@ -168,6 +186,7 @@ def test_marginal_blocks_reproduce_row_sums_and_means():
     np.testing.assert_allclose(got[:m], 1.0)
     np.testing.assert_allclose(got[m:], q @ np.arange(n + 1))
     np.testing.assert_allclose(b_eq, np.concatenate([np.ones(m), means]))
+    assert a_eq.nnz == 2 * m * (n + 1) - m  # no stored zeros at j = 0
 
 
 def test_index_tranche_bounds_pin_the_portfolio_spread(snapshot):
