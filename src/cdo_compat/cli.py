@@ -19,8 +19,7 @@ import numpy as np
 
 from . import __version__
 from .dpm_core import InvalidDPM, dpm_from_csv, dpm_to_csv
-from .market_model import (NoRoot, calibrate_hazard, implied_index_spread,
-                           load_snapshot, pv01)
+from .market_model import NoRoot, implied_index_spread, load_snapshot, pv01
 from .opt_backend import SolverError, SolveStatus
 from .risk_engine import InfeasibleConstraints, simulate_npv, spread_delta
 from .strong_compat import (DEFAULT_EPS_SPREAD, DEFAULT_EPS_UPFRONT,
@@ -126,8 +125,7 @@ def main():
 def calibrate(input_path, out_path, fmt, as_json):
     """Fit the marginal default curve to the index quote."""
     snap = load_snapshot(input_path)
-    curve = calibrate_hazard(snap.index_spread, snap.schedule, snap.discount,
-                             snap.portfolio.recovery)
+    curve = snap.curve
     grid = curve.grid(snap.schedule)
     payload = {
         "hazard": curve.hazard,

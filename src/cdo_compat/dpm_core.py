@@ -269,7 +269,7 @@ def dpm_from_csv(path):
     """Read a matrix written by dpm_to_csv; returns (times, DPM)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if not header or header[0] != "time":
             raise ValueError("missing times header")
         times, rows = [], []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,11 +45,9 @@ class PaymentSchedule:
         object.__setattr__(self, "payment_dates", tuple(float(x) for x in t))
 
     @classmethod
-    def quarterly(cls, years=5.0, freq=4):
-        m = int(round(years * freq))
-        step = 1.0 / freq
-        dates = tuple((i + 1) * step for i in range(m))
-        return cls(dates, dates[-1] + step)
+    def quarterly(cls, years=5.0):
+        dates = tuple((i + 1) * 0.25 for i in range(int(round(years * 4))))
+        return cls(dates, dates[-1] + 0.25)
 
     @property
     def m(self):
@@ -78,42 +77,12 @@ class PaymentSchedule:
 
 @dataclass(frozen=True)
 class DiscountCurve:
-    """Risk-free discounting: flat continuous rate, or tabulated factors.
+    """Risk-free discounting at a flat continuous rate: D(t) = exp(-rate * t)."""
 
-    With ``rate`` set, D(t) = exp(-rate * t). With ``times``/``factors`` set,
-    D interpolates log-linearly between the tabulated points (flat beyond the
-    last one), with D(0) = 1 prepended automatically.
-    """
-
-    rate: float | None = None
-    times: tuple | None = None
-    factors: tuple | None = None
-
-    def __post_init__(self):
-        if self.rate is None:
-            if self.times is None or self.factors is None:
-                raise ValueError("provide either a flat rate or tabulated factors")
-            t = np.asarray(self.times, float)
-            f = np.asarray(self.factors, float)
-            if len(t) != len(f) or len(t) == 0:
-                raise ValueError("times and factors must have equal nonzero length")
-            if t[0] <= 0.0 or np.any(np.diff(t) <= 0.0):
-                raise ValueError("tabulated times must be positive and increasing")
-            if np.any(f <= 0.0) or np.any(np.diff(np.concatenate([[1.0], f])) > 0.0):
-                raise ValueError("factors must be positive and non-increasing from 1")
-            object.__setattr__(self, "times", tuple(float(x) for x in t))
-            object.__setattr__(self, "factors", tuple(float(x) for x in f))
-        elif self.times is not None or self.factors is not None:
-            raise ValueError("flat rate and tabulated factors are mutually exclusive")
+    rate: float
 
     def __call__(self, t):
-        t = np.asarray(t, float)
-        if self.rate is not None:
-            out = np.exp(-self.rate * t)
-        else:
-            grid = np.concatenate([[0.0], self.times])
-            logf = np.concatenate([[0.0], np.log(self.factors)])
-            out = np.exp(np.interp(t, grid, logf))
+        out = np.exp(-self.rate * np.asarray(t, float))
         return out if out.ndim else float(out)
 
 
@@ -214,6 +183,12 @@ class MarketSnapshot:
     def n_tranches(self):
         return len(self.tranches)
 
+    @cached_property
+    def curve(self):
+        """The marginal curve calibrated to ``index_spread``, once per snapshot."""
+        return calibrate_hazard(self.index_spread, self.schedule, self.discount,
+                                self.portfolio.recovery)
+
 
 @dataclass(frozen=True)
 class MarginalDefaultCurve:
@@ -242,18 +217,17 @@ class MarginalDefaultCurve:
         return self.F(np.asarray(sched.payment_dates))
 
 
-def _index_legs(mu, sched, disc, recovery):
-    """The three premium/protection sums for a flat-hazard index.
+def _leg_sums(surv, sched, disc, recovery):
+    """The three premium/protection sums of survival values at T_0..T_m.
 
     J1 discounts full-period premium on survival, J2 the half-period accrual
     of names defaulting in the period, J3 the protection payments at period
-    midpoints. All sums run over the m payment periods.
+    midpoints. All sums run over the m payment periods. They are linear in
+    ``surv``, so the derivative of ``surv`` gives their derivatives.
     """
-    dates = sched.all_dates[: sched.m + 1]
     acc = sched.accruals
     d_pay = disc(np.asarray(sched.payment_dates))
     d_mid = disc(sched.midpoints[: sched.m])
-    surv = np.exp(-mu * dates)
     dead = surv[:-1] - surv[1:]
     j1 = float(np.sum(surv[1:] * acc * d_pay))
     j2 = 0.5 * float(np.sum(dead * acc * d_mid))
@@ -261,18 +235,10 @@ def _index_legs(mu, sched, disc, recovery):
     return j1, j2, j3
 
 
-def _index_legs_derivative(mu, sched, disc, recovery):
-    dates = sched.all_dates[: sched.m + 1]
-    acc = sched.accruals
-    d_pay = disc(np.asarray(sched.payment_dates))
-    d_mid = disc(sched.midpoints[: sched.m])
-    surv = np.exp(-mu * dates)
-    dsurv = -dates * surv
-    ddead = dsurv[:-1] - dsurv[1:]
-    dj1 = float(np.sum(dsurv[1:] * acc * d_pay))
-    dj2 = 0.5 * float(np.sum(ddead * acc * d_mid))
-    dj3 = (1.0 - recovery) * float(np.sum(ddead * d_mid))
-    return dj1, dj2, dj3
+def _index_legs(mu, sched, disc, recovery):
+    """J1, J2, J3 of a flat-hazard index (see `_leg_sums`)."""
+    return _leg_sums(np.exp(-mu * sched.all_dates[: sched.m + 1]), sched, disc,
+                     recovery)
 
 
 def implied_index_spread(curve, sched, disc, recovery):
@@ -314,7 +280,8 @@ def calibrate_hazard(index_spread, sched, disc, recovery):
         else:
             hi = mid
     mu = 0.5 * (lo + hi)
-    dj1, dj2, dj3 = _index_legs_derivative(mu, sched, disc, recovery)
+    dates = sched.all_dates[: sched.m + 1]
+    dj1, dj2, dj3 = _leg_sums(-dates * np.exp(-mu * dates), sched, disc, recovery)
     slope = index_spread * (dj1 + dj2) - dj3
     if slope != 0.0:
         mu = mu - gap(mu) / slope
@@ -338,14 +305,12 @@ def pv01(curve, sched, disc):
                  + 0.5 * np.sum(acc * np.diff(f) * d_mid))
 
 
-def cds_value_change(curve_before, curve_after, sched, disc, ds):
+def cds_value_change(curve_after, sched, disc, ds):
     """Index value change for a spread move ds: PV01 at the shifted curve times ds.
 
-    The pre-shift curve is accepted for symmetry of the call site; the
-    convention here evaluates the annuity after the shift, and the difference
-    against the pre-shift annuity is second order in ds.
+    The annuity is evaluated after the shift; the difference against the
+    pre-shift annuity is second order in ds.
     """
-    del curve_before
     return pv01(curve_after, sched, disc) * ds
 
 
@@ -406,16 +371,22 @@ def snapshot_from_dict(doc):
 
 
 def load_snapshot(path):
-    """Read a market snapshot from its JSON file format."""
+    """Read a market snapshot from its JSON file; a malformed one raises ValueError."""
     with open(path) as fh:
-        return snapshot_from_dict(json.load(fh))
+        doc = json.load(fh)
+    try:
+        return snapshot_from_dict(doc)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: malformed snapshot: {exc}") from exc
 
 
 def snapshot_to_dict(snap):
     doc = {
         "as_of": snap.as_of,
         "index_spread_bps": snap.index_spread * 1e4,
-        "rate_pct": (snap.discount.rate or 0.0) * 100.0,
+        "rate_pct": snap.discount.rate * 100.0,
         "recovery": snap.portfolio.recovery,
         "n_names": snap.portfolio.n,
         "schedule": {"freq": "quarterly", "years": snap.schedule.maturity},

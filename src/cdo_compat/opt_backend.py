@@ -2,19 +2,14 @@
 
 Every linear program, linear-fractional program, and relative-entropy
 program in the package is solved through this module, so the modeling
-code never names a solver. The LP engine is HiGHS via scipy; the
-relative-entropy program is solved on its dual by projected Newton, with
-the primal recovered in closed form.
-
-The environment variable ``CDO_COMPAT_SOLVER`` selects the LP method:
-``highs`` (default, dual simplex), ``highs-ds``, or ``highs-ipm``.
-Setting ``CDO_COMPAT_LP_DUMP`` to a directory path writes each LP in
-CPLEX LP text format before solving (debugging aid).
+code never names a solver. Every LP goes to scipy's HiGHS
+(``method="highs"``) with no setting to select, so its result depends on
+its inputs alone. The relative-entropy program is solved on its dual by
+projected Newton, with the primal recovered in closed form.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -38,8 +33,6 @@ _ARMIJO = 1e-4             # sufficient-decrease fraction of the predicted decre
 _HESS_RIDGE = 1e-14        # relative ridge keeping the Newton system nonsingular
 _NOISE_ULPS = 64           # rounding noise of the dual objective, in ulps of its terms
 _KKT_FLOOR = 1e-13         # polishing past KKT_TOL stops here
-
-_METHODS = {"highs": "highs", "highs-ds": "highs-ds", "highs-ipm": "highs-ipm"}
 
 
 class SolverError(RuntimeError):
@@ -93,70 +86,12 @@ class SolveResult:
     extra: dict = field(default_factory=dict)
 
 
-def lp_method():
-    name = os.environ.get("CDO_COMPAT_SOLVER", "highs")
-    if name not in _METHODS:
-        raise SolverError(f"unknown solver {name!r}; choose one of {sorted(_METHODS)}")
-    return _METHODS[name]
-
-
-def dump_lp(lp, path):
-    """Write ``lp`` in CPLEX LP text format (debugging aid, lossy for sparsity)."""
-    c = np.zeros(lp.n_vars()) if lp.c is None else np.asarray(lp.c, float)
-    sign = -1.0 if lp.sense == "max" else 1.0
-
-    def row_terms(row):
-        row = np.asarray(row).ravel()
-        parts = []
-        for j in np.nonzero(row)[0]:
-            parts.append(f"{row[j]:+.17g} x{j}")
-        return " ".join(parts) if parts else "0 x0"
-
-    with open(path, "w") as fh:
-        fh.write("\\ cdo-compat LP dump\nMinimize\n obj: ")
-        fh.write(row_terms(sign * c))
-        fh.write("\nSubject To\n")
-        k = 0
-        if lp.A_ub is not None:
-            a = sp.csr_matrix(lp.A_ub) if sp.issparse(lp.A_ub) else np.atleast_2d(lp.A_ub)
-            for i in range(a.shape[0]):
-                row = a.getrow(i).toarray() if sp.issparse(a) else a[i]
-                fh.write(f" c{k}: {row_terms(row)} <= {lp.b_ub[i]:.17g}\n")
-                k += 1
-        if lp.A_eq is not None:
-            a = sp.csr_matrix(lp.A_eq) if sp.issparse(lp.A_eq) else np.atleast_2d(lp.A_eq)
-            for i in range(a.shape[0]):
-                row = a.getrow(i).toarray() if sp.issparse(a) else a[i]
-                fh.write(f" c{k}: {row_terms(row)} = {lp.b_eq[i]:.17g}\n")
-                k += 1
-        fh.write("Bounds\n")
-        bounds = lp.bounds
-        if isinstance(bounds, tuple):
-            bounds = [bounds] * lp.n_vars()
-        for j, (lo, hi) in enumerate(bounds):
-            lo_s = "-inf" if lo is None else f"{lo:.17g}"
-            hi_s = "+inf" if hi is None else f"{hi:.17g}"
-            fh.write(f" {lo_s} <= x{j} <= {hi_s}\n")
-        fh.write("End\n")
-
-
-_DUMP_COUNTER = [0]
-
-
-def _maybe_dump(lp):
-    dump_dir = os.environ.get("CDO_COMPAT_LP_DUMP")
-    if dump_dir:
-        _DUMP_COUNTER[0] += 1
-        dump_lp(lp, os.path.join(dump_dir, f"lp_{_DUMP_COUNTER[0]:04d}.lp"))
-
-
 def solve_lp(lp):
     """Solve a LinearProgram; statuses follow SolveStatus semantics.
 
     Feasibility problems (c is None) report FEASIBLE on success, optimization
-    problems report OPTIMAL. Deterministic for fixed inputs and method.
+    problems report OPTIMAL. Deterministic for fixed inputs.
     """
-    _maybe_dump(lp)
     n = lp.n_vars()
     c = np.zeros(n) if lp.c is None else np.asarray(lp.c, float)
     sign = -1.0 if lp.sense == "max" else 1.0
@@ -164,7 +99,7 @@ def solve_lp(lp):
         sign * c,
         A_ub=lp.A_ub, b_ub=lp.b_ub,
         A_eq=lp.A_eq, b_eq=lp.b_eq,
-        bounds=lp.bounds, method=lp_method(),
+        bounds=lp.bounds, method="highs",
     )
     if res.status == 0:
         status = SolveStatus.FEASIBLE if lp.c is None else SolveStatus.OPTIMAL

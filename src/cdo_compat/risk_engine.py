@@ -27,24 +27,25 @@ from .opt_backend import SolveStatus, SolverError
 from .strong_compat import GammaDistortion, h_matrix, qij_from_p
 from .tranche_valuation import (DimensionMismatch, coefficients_for,
                                 expected_npv)
-from .weak_compat import (_curve_or_calibrate, marginal_blocks,
-                          monotonicity_block)
+from .weak_compat import marginal_blocks, monotonicity_block
 
 PRICE_CHECK_TOL = 1e-6
 QUANTILE_LEVELS = (1, 5, 50, 95, 99)
 RETAIN_CAP = 1 << 20
+EPS_REG = 1e-20          # reference floor of the entropy update, see posterior_dpm
+CHUNK = 65536            # paths drawn, priced and written per step of simulate_npv
 
 
 class InfeasibleConstraints(RuntimeError):
     """No distribution satisfies the bumped marginals and the structure."""
 
 
-def posterior_dpm(prior, shifted_curve, sched, eps_reg=1e-20):
+def posterior_dpm(prior, shifted_curve, sched):
     """Minimum relative entropy update of a prior DPM to bumped marginals.
 
     Constraints: unit rows, per-date means n F~(T_i) from the shifted curve,
     and non-decreasing tail sums. The reference measure is the prior with an
-    eps_reg floor so zero prior cells stay essentially forbidden rather than
+    EPS_REG floor so zero prior cells stay essentially forbidden rather than
     undefined. The entropy solve starts at zero multipliers. Returns the
     posterior DPM and the solver record: Newton steps (``iterations``), dual
     evaluations (``evaluations``), the final KKT residual (``kkt``) and the
@@ -55,7 +56,7 @@ def posterior_dpm(prior, shifted_curve, sched, eps_reg=1e-20):
     A_eq, b_eq = marginal_blocks(m, n, means)
     A_ub, b_ub = monotonicity_block(m, n)
     res = opt_backend.solve_relative_entropy(
-        (prior.q + eps_reg).ravel(), A_eq, b_eq, A_ub=A_ub, b_ub=b_ub)
+        (prior.q + EPS_REG).ravel(), A_eq, b_eq, A_ub=A_ub, b_ub=b_ub)
     if res.status is SolveStatus.INFEASIBLE:
         raise InfeasibleConstraints(res.message)
     if res.status is not SolveStatus.OPTIMAL:
@@ -92,15 +93,12 @@ class HedgeReport:
             "solver": self.solver,
         }
 
-    def to_json(self, path=None):
-        text = json.dumps(self.as_dict(), indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+    def to_json(self, path):
+        with open(path, "w") as fh:
+            fh.write(json.dumps(self.as_dict(), indent=2) + "\n")
 
 
-def spread_delta(snapshot, prior, shift_bps=1.0, eps_reg=1e-20, curve=None):
+def spread_delta(snapshot, prior, shift_bps=1.0):
     """Hedge ratios of all quoted tranches against the index at one bump.
 
     The prior must reprice the quotes (checked against PRICE_CHECK_TOL); the
@@ -113,7 +111,6 @@ def spread_delta(snapshot, prior, shift_bps=1.0, eps_reg=1e-20, curve=None):
     if not math.isfinite(shift_bps) or shift_bps == 0.0:
         raise ValueError(
             f"spread bump must be finite and non-zero, got {shift_bps} bp")
-    curve = _curve_or_calibrate(snapshot, curve)
     coeffs = coefficients_for(snapshot)
     worst = max(abs(expected_npv(prior, c)) for c in coeffs)
     if worst > PRICE_CHECK_TOL:
@@ -124,10 +121,9 @@ def spread_delta(snapshot, prior, shift_bps=1.0, eps_reg=1e-20, curve=None):
     shifted_curve = calibrate_hazard(
         snapshot.index_spread + ds, snapshot.schedule, snapshot.discount,
         snapshot.portfolio.recovery)
-    posterior, solver = posterior_dpm(prior, shifted_curve, snapshot.schedule,
-                                      eps_reg)
+    posterior, solver = posterior_dpm(prior, shifted_curve, snapshot.schedule)
     dv = tuple(expected_npv(posterior, c) - expected_npv(prior, c) for c in coeffs)
-    dv_cds = cds_value_change(curve, shifted_curve, snapshot.schedule,
+    dv_cds = cds_value_change(shifted_curve, snapshot.schedule,
                               snapshot.discount, ds)
     return HedgeReport(
         shift_bps=shift_bps,
@@ -218,7 +214,7 @@ def _format_rows(ids, counts, values):
 
 
 def simulate_npv(solution, snapshot, n_paths, seed, positions=None,
-                 csv_path=None, chunk=65536, curve=None):
+                 csv_path=None):
     """Simulate default paths from a strong solution and price the book.
 
     Per path and chunk, in this draw order: one uniform drives the
@@ -271,7 +267,7 @@ def simulate_npv(solution, snapshot, n_paths, seed, positions=None,
     try:
         done = 0
         while done < n_paths:
-            b = min(chunk, n_paths - done)
+            b = min(CHUNK, n_paths - done)
             _, x = dist.sample(rng, b)
             counts = _nested_binomial_counts(rng, n, x)
             count_hist += np.bincount(

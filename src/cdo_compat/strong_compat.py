@@ -26,8 +26,8 @@ from .dpm_core import DPM, InvalidSolution, tail_sums, validate_dpm
 from .market_model import PortfolioSpec
 from .opt_backend import SolveStatus, SolverError
 from .tranche_valuation import DimensionMismatch, beta_coeffs
-from .weak_compat import (InfeasibleRegion, _assemble, _bounds,
-                          _curve_or_calibrate, _Polytope, _target, _verify)
+from .weak_compat import (InfeasibleRegion, _assemble, _bounds, _Polytope,
+                          _target, _verify)
 
 DEFAULT_N_SEQUENCE = (50, 75, 100, 125, 150, 175, 200)
 DEFAULT_EPS_SPREAD = 1e-6    # 0.01 bp, on decimals per year
@@ -109,10 +109,10 @@ class StrongFeasibilityProblem(_Polytope):
     """The polytope over generator weights p_ik at resolution N, mapped onto q by h."""
 
     @classmethod
-    def from_snapshot(cls, snapshot, curve, N, priced=None, bid_ask=False):
+    def from_snapshot(cls, snapshot, N, priced=None, bid_ask=False):
         if priced is None:
             priced = range(snapshot.n_tranches)
-        return _assemble(cls, snapshot, curve, h_matrix(snapshot.portfolio.n, N),
+        return _assemble(cls, snapshot, h_matrix(snapshot.portfolio.n, N),
                          priced, bid_ask)
 
     def _law(self, x):
@@ -132,30 +132,27 @@ class StrongResult:
         return self.status is SolveStatus.FEASIBLE
 
 
-def verify_strong_at_N(snapshot, N, curve=None):
+def verify_strong_at_N(snapshot, N):
     """Decide resolution-N strong compatibility; Feasible carries the generator law."""
-    curve = _curve_or_calibrate(snapshot, curve)
-    problem = StrongFeasibilityProblem.from_snapshot(snapshot, curve, N)
+    problem = StrongFeasibilityProblem.from_snapshot(snapshot, N)
     return StrongResult(*_verify(snapshot, problem, bid_ask=False))
 
 
-def verify_strong_bid_ask(snapshot, N, curve=None):
+def verify_strong_bid_ask(snapshot, N):
     """Strong compatibility against two-sided quotes at resolution N."""
-    curve = _curve_or_calibrate(snapshot, curve)
-    problem = StrongFeasibilityProblem.from_snapshot(snapshot, curve, N, bid_ask=True)
+    problem = StrongFeasibilityProblem.from_snapshot(snapshot, N, bid_ask=True)
     return StrongResult(*_verify(snapshot, problem, bid_ask=True))
 
 
-def range_at_N(snapshot, fixed, target, N, curve=None):
+def range_at_N(snapshot, fixed, target, N):
     """Quote range of one tranche over generator laws that price a fixed set.
 
     ``fixed`` lists quoted-tranche indices pinned at their market prices;
     ``target`` is the tranche whose implied quote is bounded. Returns
     (lower, upper) in the target's decimal quote units.
     """
-    curve = _curve_or_calibrate(snapshot, curve)
     fixed = [l for l in fixed if l != target]
-    problem = StrongFeasibilityProblem.from_snapshot(snapshot, curve, N, priced=fixed)
+    problem = StrongFeasibilityProblem.from_snapshot(snapshot, N, priced=fixed)
     tranche = snapshot.tranches[target]
     return _bounds(snapshot, problem, tranche,
                    problem.h.h.T @ beta_coeffs(tranche, snapshot.portfolio))
@@ -182,7 +179,7 @@ class IterativeResult:
 
 def iterative_verify(snapshot, N_sequence=DEFAULT_N_SEQUENCE,
                      eps_spread=DEFAULT_EPS_SPREAD,
-                     eps_upfront=DEFAULT_EPS_UPFRONT, curve=None):
+                     eps_upfront=DEFAULT_EPS_UPFRONT):
     """Walk tranches in seniority order, growing N until each quote is in range.
 
     For tranche l the range is computed over generator laws pricing tranches
@@ -200,7 +197,6 @@ def iterative_verify(snapshot, N_sequence=DEFAULT_N_SEQUENCE,
         raise ValueError("N_sequence must be non-empty and strictly increasing")
     if eps_spread <= 0 or eps_upfront <= 0:
         raise ValueError("stabilization tolerances must be positive")
-    curve = _curve_or_calibrate(snapshot, curve)
     history = []
     n_used = []
     for l, tranche in enumerate(snapshot.tranches):
@@ -212,7 +208,7 @@ def iterative_verify(snapshot, N_sequence=DEFAULT_N_SEQUENCE,
         accepted_at = None
         for N in N_sequence:
             try:
-                lo, hi = range_at_N(snapshot, range(l), l, N, curve=curve)
+                lo, hi = range_at_N(snapshot, range(l), l, N)
             except InfeasibleRegion:
                 # no law at this N prices the tranches already accepted (one
                 # accepted at a larger N); a coarser N proves nothing here
@@ -230,7 +226,7 @@ def iterative_verify(snapshot, N_sequence=DEFAULT_N_SEQUENCE,
         n_used.append(accepted_at)
 
     for N in [max(n_used)] + [N for N in N_sequence if N > max(n_used)]:
-        res = verify_strong_at_N(snapshot, N, curve=curve)
+        res = verify_strong_at_N(snapshot, N)
         if res.feasible:
             return IterativeResult(True, res.solution, N, None, history)
     raise IterationLimit("per-tranche ranges accepted every quote but no joint "
@@ -238,7 +234,7 @@ def iterative_verify(snapshot, N_sequence=DEFAULT_N_SEQUENCE,
 
 
 def nonstandard_names_bounds(snapshot, N, n_names, attach, detach, quote_kind,
-                             fixed_running=0.0, curve=None):
+                             fixed_running=0.0):
     """Quote bounds for a tranche on a pool of ``n_names`` names.
 
     The feasible region is the full resolution-N system for the quoted
@@ -247,8 +243,7 @@ def nonstandard_names_bounds(snapshot, N, n_names, attach, detach, quote_kind,
     its own loss vector and h coefficients, then bounded over that region.
     """
     target = _target(attach, detach, quote_kind, fixed_running)
-    curve = _curve_or_calibrate(snapshot, curve)
-    problem = StrongFeasibilityProblem.from_snapshot(snapshot, curve, N)
+    problem = StrongFeasibilityProblem.from_snapshot(snapshot, N)
     pool = PortfolioSpec(int(n_names), snapshot.portfolio.recovery)
     return _bounds(snapshot, problem, target,
                    h_matrix(pool.n, N).h.T @ beta_coeffs(target, pool))

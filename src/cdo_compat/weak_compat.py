@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from . import opt_backend
 from .dpm_core import DPM, InvalidDPM, InvalidSolution, repair_structure
-from .market_model import TrancheSpec, calibrate_hazard
+from .market_model import TrancheSpec
 from .opt_backend import (DegenerateDenominator, LinearProgram, SolveStatus,
                           SolverError)
 from .tranche_valuation import (TrancheCoefficients, beta_coeffs,
@@ -42,13 +42,6 @@ class InfeasibleRegion(RuntimeError):
 
 class UnboundedRatio(RuntimeError):
     """The spread program's denominator can collapse on the feasible region."""
-
-
-def _curve_or_calibrate(snapshot, curve):
-    if curve is not None:
-        return curve
-    return calibrate_hazard(snapshot.index_spread, snapshot.schedule,
-                            snapshot.discount, snapshot.portfolio.recovery)
 
 
 def monotonicity_block(m, n):
@@ -119,11 +112,12 @@ class _Polytope:
     h: object
 
 
-def _assemble(cls, snapshot, curve, h, priced, bid_ask):
+def _assemble(cls, snapshot, h, priced, bid_ask):
     """Equalities are marginals then pricing; inequalities monotonicity then bands."""
     m = snapshot.schedule.m
     states = snapshot.portfolio.n if h is None else h.N
-    A_marg, b_marg = marginal_blocks(m, states, states * curve.grid(snapshot.schedule))
+    A_marg, b_marg = marginal_blocks(m, states,
+                                     states * snapshot.curve.grid(snapshot.schedule))
     A_mono, b_mono = monotonicity_block(m, states)
     eq_rows, eq_rhs = [A_marg], [b_marg]
     ub_rows, ub_rhs = [A_mono], [b_mono]
@@ -145,9 +139,8 @@ class WeakFeasibilityProblem(_Polytope):
     """The polytope over DPM entries q_ij, every quoted tranche priced."""
 
     @classmethod
-    def from_snapshot(cls, snapshot, curve, bid_ask=False):
-        return _assemble(cls, snapshot, curve, None,
-                         range(snapshot.n_tranches), bid_ask)
+    def from_snapshot(cls, snapshot, bid_ask=False):
+        return _assemble(cls, snapshot, None, range(snapshot.n_tranches), bid_ask)
 
     def _law(self, x):
         """The certificate and the DPM it prices through."""
@@ -168,6 +161,17 @@ class WeakResult:
         return self.status is SolveStatus.FEASIBLE
 
 
+def _relaxed_point(problem):
+    """Find a point with each equality relaxed by EQUALITY_SLACK either way.
+
+    The relaxed set contains the polytope, so INFEASIBLE proves it empty.
+    """
+    A_rel, b_rel = opt_backend.relax_equalities(problem.A_eq, problem.b_eq)
+    return opt_backend.solve_lp(LinearProgram(
+        A_ub=sp.vstack([problem.A_ub, A_rel], format="csr"),
+        b_ub=np.concatenate([problem.b_ub, b_rel]), bounds=(0, None)))
+
+
 def _verify(snapshot, problem, bid_ask):
     """Find a point of the polytope and check it as a certificate.
 
@@ -176,11 +180,7 @@ def _verify(snapshot, problem, bid_ask):
     misses a quote by more than FEASIBILITY_TOL is a solver failure, never
     a verdict.
     """
-    # zero objective; the equalities go in as paired slack inequalities
-    A_rel, b_rel = opt_backend.relax_equalities(problem.A_eq, problem.b_eq)
-    res = opt_backend.solve_lp(LinearProgram(
-        A_ub=sp.vstack([problem.A_ub, A_rel], format="csr"),
-        b_ub=np.concatenate([problem.b_ub, b_rel]), bounds=(0, None)))
+    res = _relaxed_point(problem)
     if res.status is SolveStatus.INFEASIBLE:
         return SolveStatus.INFEASIBLE, None, res.message
     if res.status is not SolveStatus.FEASIBLE:
@@ -202,17 +202,15 @@ def _verify(snapshot, problem, bid_ask):
     return SolveStatus.FEASIBLE, law, f"{res.message}; worst {what} {worst:.3e}"
 
 
-def verify_weak(snapshot, curve=None):
+def verify_weak(snapshot):
     """Decide weak compatibility; a Feasible result carries a certifying DPM."""
-    curve = _curve_or_calibrate(snapshot, curve)
-    problem = WeakFeasibilityProblem.from_snapshot(snapshot, curve)
+    problem = WeakFeasibilityProblem.from_snapshot(snapshot)
     return WeakResult(*_verify(snapshot, problem, bid_ask=False))
 
 
-def verify_weak_bid_ask(snapshot, curve=None):
+def verify_weak_bid_ask(snapshot):
     """Weak compatibility with two-sided quotes: v(bid) >= 0 >= v(ask) per tranche."""
-    curve = _curve_or_calibrate(snapshot, curve)
-    problem = WeakFeasibilityProblem.from_snapshot(snapshot, curve, bid_ask=True)
+    problem = WeakFeasibilityProblem.from_snapshot(snapshot, bid_ask=True)
     return WeakResult(*_verify(snapshot, problem, bid_ask=True))
 
 
@@ -235,7 +233,9 @@ def _bounds(snapshot, problem, target, loss):
     ``loss`` is the target's loss vector in the problem's columns (beta, or
     h' beta). An up-front quote is affine in the columns, one LP per end; a
     running spread is a ratio of affine forms, one Charnes-Cooper LFP per
-    end, whose denominator is the outstanding-notional annuity.
+    end, whose denominator is the outstanding-notional annuity. A failed
+    solve raises InfeasibleRegion if `_relaxed_point` proves the polytope
+    empty, SolverError otherwise.
     """
     sched, disc = snapshot.schedule, snapshot.discount
     blocks = dict(A_ub=problem.A_ub, b_ub=problem.b_ub,
@@ -269,7 +269,10 @@ def _bounds(snapshot, problem, target, loss):
             res = solve(sense)
         except DegenerateDenominator as exc:
             raise UnboundedRatio(str(exc)) from exc
-        if res.status is SolveStatus.INFEASIBLE:
+        status = res.status
+        if status not in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
+            status = _relaxed_point(problem).status
+        if status is SolveStatus.INFEASIBLE:
             law = "DPM" if problem.h is None else "generator"
             raise InfeasibleRegion(f"the constrained {law} polytope is empty")
         if res.status is not SolveStatus.OPTIMAL:
@@ -279,7 +282,7 @@ def _bounds(snapshot, problem, target, loss):
 
 
 def nonstandard_tranche_bounds(snapshot, attach, detach, quote_kind,
-                               fixed_running=0.0, curve=None):
+                               fixed_running=0.0):
     """Arbitrage-free quote bounds for a tranche [attach, detach] over the polytope.
 
     Every quoted tranche constrains the polytope at its market price; the
@@ -292,7 +295,6 @@ def nonstandard_tranche_bounds(snapshot, attach, detach, quote_kind,
     outstanding-notional annuity) can reach zero.
     """
     target = _target(attach, detach, quote_kind, fixed_running)
-    curve = _curve_or_calibrate(snapshot, curve)
-    problem = WeakFeasibilityProblem.from_snapshot(snapshot, curve)
+    problem = WeakFeasibilityProblem.from_snapshot(snapshot)
     return _bounds(snapshot, problem, target,
                    beta_coeffs(target, snapshot.portfolio))

@@ -2,25 +2,10 @@ import os
 
 import pytest
 
-from cdo_compat import (calibrate_hazard, load_snapshot, verify_strong_at_N,
-                        verify_weak)
+from cdo_compat import load_snapshot, verify_strong_at_N, verify_weak
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 SNAPSHOT_PATH = os.path.join(DATA_DIR, "snapshot.json")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def default_solver_env():
-    """Run the suite on the default LP backend with no LP dumps.
-
-    Session-scoped so the caller's variables are gone before session
-    fixtures such as weak_result solve their LPs; a test that needs another
-    backend sets it with monkeypatch.
-    """
-    with pytest.MonkeyPatch.context() as mp:
-        for name in ("CDO_COMPAT_SOLVER", "CDO_COMPAT_LP_DUMP"):
-            mp.delenv(name, raising=False)
-        yield
 
 
 @pytest.fixture(scope="session")
@@ -30,8 +15,7 @@ def snapshot():
 
 @pytest.fixture(scope="session")
 def curve(snapshot):
-    return calibrate_hazard(snapshot.index_spread, snapshot.schedule,
-                            snapshot.discount, snapshot.portfolio.recovery)
+    return snapshot.curve
 
 
 @pytest.fixture(scope="session")

@@ -11,8 +11,8 @@ Two known shortfalls are asserted faithfully and left to fail rather than
 loosened; the measured figures are next to each assert:
 
 * criterion 4, the per-unit-width delta ordering. Its verdict depends on
-  which repricing matrix is the hedge prior; the test uses the weak LP's
-  vertex under the default backend.
+  which repricing matrix is the hedge prior and on the bump's sign; the
+  test uses the vertex that the weak LP returns and a +1 bp bump.
 * criterion 5, the half-basis-point index-limit window. The full-pool
   tranche prices under the tranche premium leg, the 58 bp quote under the
   index leg, and the two differ by 0.505 bp on this pool.
@@ -134,10 +134,12 @@ def test_criterion_4_delta_sum_and_seniority_ordering(snapshot, weak_result):
             "per-unit-width deltas do not strictly decrease with seniority: "
             f"{[round(v, 3) for v in per_width]} with the weak LP's vertex as "
             f"the prior, which holds {tail:.1%} of its maturity mass above "
-            "seventy defaults; the ordering depends on the prior: the "
-            "highs-ipm vertex orders the deltas, while the highs vertex and "
-            "the strong N=50 and N=100 laws do not, and no prior that is "
-            "independent of the LP backend is computed yet")
+            "seventy defaults; the ordering depends on the prior and the "
+            "bump: a -1 bp bump orders them under this prior, another "
+            "repricing matrix of the same polytope (an interior-point LP "
+            "solution) orders them, the strong N=50 and N=100 laws do not, "
+            "and no prior independent of the LP's choice of vertex is "
+            "computed yet")
 
 
 def test_criterion_5_index_limit_recovers_the_index_spread(snapshot):

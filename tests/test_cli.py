@@ -133,12 +133,14 @@ def test_verify_bid_ask_strong_mode(runner, snapshot, tmp_path):
 def test_verify_strong_walk_ends_without_a_traceback(runner, snapshot,
                                                      tmp_path):
     # equity at 40% is accepted only at N=75, and no N=50 law prices it, so
-    # the walk for the next tranche must skip N=50 rather than raise
+    # the walk for the next tranche must skip N=50 rather than raise; a
+    # bound solve that fails on an empty polytope is proved empty by the
+    # relaxed feasibility solve, so the walk ends in a verdict
     raw = snapshot_to_dict(snapshot)
     raw["tranches"][0]["quote_value"] = 40.0
     res = runner.invoke(main, ["verify-strong", "-i",
                                _write_snapshot(tmp_path, raw)])
-    assert res.exit_code in (1, 2)
+    assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
 
 
@@ -277,3 +279,27 @@ def test_malformed_snapshot_reports_an_error(runner, tmp_path):
     res = runner.invoke(main, ["calibrate", "-i", str(bad)])
     assert res.exit_code == 2
     assert "error" in res.output
+
+
+def _malformed_argv(case, snapshot, tmp_path):
+    raw = snapshot_to_dict(snapshot)
+    if case == "rate_pct":
+        del raw["rate_pct"]
+        return ["calibrate", "-i", _write_snapshot(tmp_path, raw)]
+    if case == "quote_value":
+        del raw["tranches"][1]["quote_value"]
+        return ["verify-weak", "-i", _write_snapshot(tmp_path, raw)]
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    return ["hedge", "-i", str(SNAPSHOT_PATH), "--prior", str(empty)]
+
+
+@pytest.mark.parametrize("case", ["rate_pct", "quote_value", "empty prior"])
+def test_malformed_input_is_an_error_not_a_verdict(runner, snapshot, tmp_path,
+                                                   case):
+    res = runner.invoke(main, _malformed_argv(case, snapshot, tmp_path))
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith("error:")
+    if case != "empty prior":
+        assert case in res.stderr

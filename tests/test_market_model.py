@@ -1,5 +1,6 @@
 """Schedule, discounting, index calibration, and snapshot serialization."""
 
+import dataclasses
 import json
 import math
 
@@ -48,14 +49,6 @@ def test_flat_discount_curve():
     disc = DiscountCurve(rate=0.02417)
     t = np.array([0.0, 0.25, 5.0])
     np.testing.assert_allclose(disc(t), np.exp(-0.02417 * t), rtol=1e-15)
-
-
-def test_tabulated_discount_matches_flat_between_nodes():
-    times = np.linspace(0.5, 5.0, 10)
-    flat = DiscountCurve(rate=0.03)
-    tab = DiscountCurve(times=times, factors=flat(times))
-    query = np.linspace(0.5, 5.0, 77)
-    np.testing.assert_allclose(tab(query), flat(query), rtol=1e-12)
 
 
 def test_recovery_validation():
@@ -135,11 +128,25 @@ def test_pv01_decreases_with_hazard(snapshot):
     assert high < low
 
 
-def test_cds_value_change_uses_shifted_annuity(snapshot, curve):
+def test_cds_value_change_uses_shifted_annuity(snapshot):
     sched, disc = snapshot.schedule, snapshot.discount
     shifted = calibrate_hazard(59e-4, sched, disc, 0.4)
-    change = cds_value_change(curve, shifted, sched, disc, 1e-4)
+    change = cds_value_change(shifted, sched, disc, 1e-4)
     assert change == pytest.approx(PV01_59 * 1e-4, rel=1e-12)
+
+
+def test_snapshot_calibrates_its_curve_once(snapshot):
+    assert snapshot.curve is snapshot.curve
+    direct = calibrate_hazard(snapshot.index_spread, snapshot.schedule,
+                              snapshot.discount, snapshot.portfolio.recovery)
+    assert snapshot.curve.hazard == direct.hazard
+    assert snapshot.curve.boundary_time == direct.boundary_time
+
+
+def test_a_moved_index_quote_recalibrates_the_curve(snapshot):
+    moved = dataclasses.replace(snapshot, index_spread=59e-4)
+    assert moved.curve.hazard != snapshot.curve.hazard
+    assert moved.curve.hazard == pytest.approx(HAZARD_59, rel=1e-12)
 
 
 def test_snapshot_parsing(snapshot):

@@ -1,14 +1,11 @@
 """LP, linear-fractional, and relative-entropy backends on toy instances."""
 
-import os
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from cdo_compat.opt_backend import (DegenerateDenominator, LinearProgram,
-                                    SolverError, SolveStatus, dump_lp,
-                                    lp_method, relax_equalities, solve_lfp,
+                                    SolveStatus, relax_equalities, solve_lfp,
                                     solve_lp, solve_relative_entropy)
 
 
@@ -47,28 +44,6 @@ def test_lp_accepts_sparse_matrices():
     res = solve_lp(lp)
     assert res.status is SolveStatus.OPTIMAL
     np.testing.assert_allclose(a @ res.x, [2.0, 1.0], atol=1e-9)
-
-
-def test_solver_env_selects_method(monkeypatch):
-    monkeypatch.setenv("CDO_COMPAT_SOLVER", "highs-ipm")
-    assert lp_method() == "highs-ipm"
-    lp = LinearProgram(c=np.array([1.0, 1.0]), A_eq=np.array([[1.0, 1.0]]),
-                       b_eq=np.array([1.0]))
-    assert solve_lp(lp).status is SolveStatus.OPTIMAL
-    monkeypatch.setenv("CDO_COMPAT_SOLVER", "lapack")
-    with pytest.raises(SolverError):
-        lp_method()
-
-
-def test_lp_dump_is_parseable_text(tmp_path):
-    lp = LinearProgram(c=np.array([1.0, -1.0]), A_ub=np.array([[1.0, 1.0]]),
-                       b_ub=np.array([1.0]), A_eq=np.array([[1.0, 0.0]]),
-                       b_eq=np.array([0.25]))
-    path = tmp_path / "toy.lp"
-    dump_lp(lp, path)
-    text = path.read_text()
-    assert text.startswith("\\ cdo-compat LP dump")
-    assert "Minimize" in text and "Subject To" in text and text.rstrip().endswith("End")
 
 
 def test_relax_equalities_pairs_rows():

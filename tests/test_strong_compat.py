@@ -87,9 +87,9 @@ def test_strong_solution_reprices_through_mixing(snapshot, strong_100):
         assert abs(expected_npv(dpm, coeffs)) < 1e-8
 
 
-def test_strong_certificate_satisfies_weak_constraints(snapshot, curve, strong_100):
+def test_strong_certificate_satisfies_weak_constraints(snapshot, strong_100):
     dpm = qij_from_p(strong_100.solution, h_matrix(125, 100))
-    problem = WeakFeasibilityProblem.from_snapshot(snapshot, curve)
+    problem = WeakFeasibilityProblem.from_snapshot(snapshot)
     x = dpm.q.ravel()
     assert np.max(problem.A_ub @ x - problem.b_ub) <= 1e-9
     assert np.max(np.abs(problem.A_eq @ x - problem.b_eq)) <= 1e-7
@@ -112,8 +112,8 @@ def test_ranges_shrink_as_the_fixed_set_grows(snapshot):
     assert tight[1] <= mid[1] + 1e-10 and mid[1] <= wide[1] + 1e-10
 
 
-def test_iterative_verification_accepts_the_market(snapshot, curve):
-    res = iterative_verify(snapshot, curve=curve)
+def test_iterative_verification_accepts_the_market(snapshot):
+    res = iterative_verify(snapshot)
     assert res.compatible
     assert res.failing_tranche is None
     assert res.final_N in (50, 75, 100, 125, 150, 175, 200)
