@@ -8,7 +8,7 @@ from .market_model import (DiscountCurve, InvalidRecovery, MarginalDefaultCurve,
                            PortfolioSpec, QuoteVector, TrancheSpec,
                            calibrate_hazard, cds_value_change,
                            implied_index_spread, load_snapshot, pv01,
-                           save_snapshot, snapshot_from_dict, snapshot_to_dict)
+                           snapshot_from_dict, snapshot_to_dict)
 from .opt_backend import (DegenerateDenominator, SolveStatus, SolverError,
                           solve_lfp, solve_lp, solve_relative_entropy)
 from .risk_engine import (HedgeReport, InfeasibleConstraints,
@@ -47,7 +47,7 @@ __all__ = [
     "iterative_verify", "lambda_coeffs", "load_snapshot",
     "nonstandard_names_bounds", "nonstandard_tranche_bounds", "posterior_dpm",
     "pv01", "qij_from_p", "range_at_N", "read_samples", "realized_npv",
-    "save_snapshot", "simulate_npv", "snapshot_from_dict", "snapshot_to_dict",
+    "simulate_npv", "snapshot_from_dict", "snapshot_to_dict",
     "solve_lfp", "solve_lp", "solve_relative_entropy", "spread_delta",
     "strong_from_csv", "strong_to_csv", "validate_dpm", "verify_strong_at_N",
     "verify_strong_bid_ask", "verify_weak", "verify_weak_bid_ask",

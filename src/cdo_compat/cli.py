@@ -3,9 +3,10 @@
 Every command reads a market snapshot (JSON) through --input and reports to
 stdout, either as short human-readable lines or, with --json, as a single
 JSON document. Artifacts (fitted distributions, generator laws, sample
-files, reports) go to --out. Exit status encodes the verdict: 0 for success
-or a compatible market, 1 for an incompatible market, 2 for input or solver
-errors (a verification whose solver failed decides nothing and exits 2).
+files, reports) go to --out; a JSON artifact holds the bytes that --json
+prints. Exit status encodes the verdict: 0 for success or a compatible
+market, 1 for an incompatible market, 2 for input or solver errors (a
+verification whose solver failed decides nothing and exits 2).
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from .dpm_core import InvalidDPM, dpm_from_csv, dpm_to_csv
 from .market_model import NoRoot, implied_index_spread, load_snapshot, pv01
 from .opt_backend import SolverError, SolveStatus
 from .risk_engine import InfeasibleConstraints, simulate_npv, spread_delta
-from .strong_compat import (DEFAULT_EPS_SPREAD, DEFAULT_EPS_UPFRONT,
-                            DEFAULT_N_SEQUENCE, InvalidSolution,
+from .strong_compat import (DEFAULT_N_SEQUENCE, InvalidSolution,
                             IterationLimit, iterative_verify,
                             nonstandard_names_bounds, range_at_N,
                             strong_from_csv, strong_to_csv,
@@ -36,78 +36,16 @@ EXIT_OK = 0
 EXIT_INCOMPATIBLE = 1
 EXIT_ERROR = 2
 
-_input_opt = click.option("--input", "-i", "input_path", required=True,
-                          type=click.Path(exists=True, dir_okay=False),
-                          help="Market snapshot JSON.")
-_out_opt = click.option("--out", "out_path", default=None,
-                        type=click.Path(dir_okay=False), help="Artifact path.")
 _fmt_opt = click.option("--format", "fmt", default="json",
                         type=click.Choice(["json", "csv"]),
                         help="Artifact format where both make sense.")
-_json_opt = click.option("--json", "as_json", is_flag=True,
-                         help="Structured report on stdout.")
-
-
-def _guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            code = fn(*args, **kwargs)
-        except (InvalidQuotes, NoRoot, InvalidDPM, InvalidSolution,
-                UnboundedRatio, IterationLimit, ValueError, OSError,
-                json.JSONDecodeError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            code = EXIT_ERROR
-        except (SolverError, InfeasibleConstraints) as exc:
-            click.echo(f"solver error: {exc}", err=True)
-            code = EXIT_ERROR
-        sys.exit(code)
-    return wrapper
-
-
-def _emit(payload, as_json, lines):
-    if as_json:
-        click.echo(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            click.echo(line)
-
-
-def _verdict(res):
-    """Verdict word and exit code of a verification result.
-
-    A solver failure decides nothing, so it is an error (exit 2), never an
-    incompatible verdict.
-    """
-    if res.feasible:
-        return "yes", EXIT_OK
-    if res.status is SolveStatus.NUMERICAL_FAILURE:
-        return "undecided (solver failure)", EXIT_ERROR
-    return "no", EXIT_INCOMPATIBLE
-
-
-def _no_certificate(res, label, task, as_json):
-    """Report a certificate solve that found no law; returns the exit code.
-
-    ``hedge`` and ``simulate`` solve for the law they need (a prior, a
-    generator law) unless given one; a failed solve is reported as that
-    verification would report it, with its verdict and exit code.
-    """
-    word, code = _verdict(res)
-    _emit({"compatible": False, "status": res.status.value,
-           "certificate": res.certificate},
-          as_json, [f"{label}: {word}; no {task}", res.certificate])
-    return code
-
-
-def _quote_display(tranche, quotes, l):
-    if tranche.quote_kind == "upfront":
-        return quotes.upfront[l] * 100.0, "pct"
-    return quotes.spread[l] * 1e4, "bps"
-
-
-def _to_display(kind, value):
-    return value * 100.0 if kind == "upfront" else value * 1e4
+_n_seq_opt = click.option("--n-seq", default=",".join(map(str, DEFAULT_N_SEQUENCE)),
+                          show_default=True,
+                          help="Comma-separated resolution sequence.")
+_kind_opt = click.option("--kind", default="spread",
+                         type=click.Choice(["upfront", "spread"]))
+_running_opt = click.option("--running-bps", default=0.0, type=float,
+                            help="Fixed running spread for upfront quotes, bps.")
 
 
 @click.group()
@@ -116,15 +54,108 @@ def main():
     """Tranche-quote compatibility checks, bounds, hedging and simulation."""
 
 
-@main.command()
-@_input_opt
-@_out_opt
+def _command(name):
+    """Register a subcommand of ``main`` that reports on one snapshot.
+
+    The decorated function takes the snapshot read from --input, the --out
+    path and its own options, and returns (payload, lines, exit code): --json
+    prints the payload, otherwise the lines are printed. Bad input exits 2
+    with one ``error:`` line on stderr and a failed solve with one ``solver
+    error:`` line; an empty polytope under a bound (InfeasibleRegion) exits 1
+    with its message as the one stderr line.
+    """
+    def register(fn):
+        @functools.wraps(fn)
+        def run(input_path, out_path, as_json, **options):
+            try:
+                payload, lines, code = fn(load_snapshot(input_path), out_path,
+                                          **options)
+            except InfeasibleRegion as exc:
+                click.echo(str(exc), err=True)
+                sys.exit(EXIT_INCOMPATIBLE)
+            except (InvalidQuotes, NoRoot, InvalidDPM, InvalidSolution,
+                    UnboundedRatio, IterationLimit, ValueError, OSError,
+                    json.JSONDecodeError) as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(EXIT_ERROR)
+            except (SolverError, InfeasibleConstraints) as exc:
+                click.echo(f"solver error: {exc}", err=True)
+                sys.exit(EXIT_ERROR)
+            if as_json:
+                click.echo(_json(payload), nl=False)
+            else:
+                click.echo("\n".join(lines))
+            sys.exit(code)
+
+        for opt in (click.option("--json", "as_json", is_flag=True,
+                                 help="Structured report on stdout."),
+                    click.option("--out", "out_path", default=None,
+                                 type=click.Path(dir_okay=False),
+                                 help="Artifact path."),
+                    click.option("--input", "-i", "input_path", required=True,
+                                 type=click.Path(exists=True, dir_okay=False),
+                                 help="Market snapshot JSON.")):
+            run = opt(run)
+        return main.command(name)(run)
+    return register
+
+
+def _json(payload):
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _csv(header, rows):
+    return header + "\n" + "".join(",".join(map(str, r)) + "\n" for r in rows)
+
+
+def _save(path, artifact):
+    """Write the --out artifact, if asked for: CSV text as is, else as JSON."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(artifact if isinstance(artifact, str) else _json(artifact))
+
+
+def _numbers(text, cast=float):
+    """The numbers of a comma-separated option value, e.g. 50,75,100."""
+    return tuple(cast(v) for v in text.split(","))
+
+
+def _verdict(res, label, task=None, **fields):
+    """(payload, lines, exit code) reporting a verification result.
+
+    ``fields`` follow "compatible" in the payload. ``hedge`` and
+    ``simulate`` solve for the law they need unless given one; a solve that
+    finds none is reported with the ``task`` it leaves undone. A solver
+    failure decides nothing, so it is an error (exit 2), never an
+    incompatible verdict.
+    """
+    if res.feasible:
+        word, code = "yes", EXIT_OK
+    elif res.status is SolveStatus.NUMERICAL_FAILURE:
+        word, code = "undecided (solver failure)", EXIT_ERROR
+    else:
+        word, code = "no", EXIT_INCOMPATIBLE
+    if task is not None:
+        word += f"; no {task}"
+    payload = {"compatible": res.feasible, **fields,
+               "status": res.status.value, "certificate": res.certificate}
+    return payload, [f"{label}: {word}", res.certificate], code
+
+
+def _to_display(kind, value):
+    return value * 100.0 if kind == "upfront" else value * 1e4
+
+
+def _bounds_payload(kind, lower, upper, label):
+    units = "pct" if kind == "upfront" else "bps"
+    return {"tranche": label, "kind": kind, "units": units,
+            "lower": _to_display(kind, lower), "upper": _to_display(kind, upper)}
+
+
+@_command("calibrate")
 @_fmt_opt
-@_json_opt
-@_guarded
-def calibrate(input_path, out_path, fmt, as_json):
+def calibrate(snap, out_path, fmt):
     """Fit the marginal default curve to the index quote."""
-    snap = load_snapshot(input_path)
     curve = snap.curve
     grid = curve.grid(snap.schedule)
     payload = {
@@ -138,74 +169,43 @@ def calibrate(input_path, out_path, fmt, as_json):
             for t, f in zip(snap.schedule.payment_dates, grid)
         ],
     }
-    if out_path:
-        if fmt == "json":
-            with open(out_path, "w") as fh:
-                json.dump(payload, fh, indent=2)
-        else:
-            with open(out_path, "w") as fh:
-                fh.write("time,default_probability\n")
-                for row in payload["marginals"]:
-                    fh.write(f"{row['time']:.6g},{row['default_probability']:.17g}\n")
-    _emit(payload, as_json, [
+    _save(out_path, payload if fmt == "json" else _csv(
+        "time,default_probability",
+        [(f"{row['time']:.6g}", f"{row['default_probability']:.17g}")
+         for row in payload["marginals"]]))
+    return payload, [
         f"hazard rate: {curve.hazard:.10g}",
         f"implied index spread: {payload['implied_index_spread_bps']:.4f} bps",
         f"pv01: {payload['pv01']:.8f}",
         f"default probability at maturity: {grid[-1]:.8f}",
-    ])
-    return EXIT_OK
+    ], EXIT_OK
 
 
-@main.command("verify-weak")
-@_input_opt
-@_out_opt
-@_json_opt
-@_guarded
-def cmd_verify_weak(input_path, out_path, as_json):
+@_command("verify-weak")
+def cmd_verify_weak(snap, out_path):
     """Decide weak compatibility of the quoted tranches."""
-    snap = load_snapshot(input_path)
     res = verify_weak(snap)
     if res.feasible and out_path:
         dpm_to_csv(res.dpm, snap.schedule, out_path)
-    word, code = _verdict(res)
-    _emit({"compatible": res.feasible, "status": res.status.value,
-           "certificate": res.certificate},
-          as_json,
-          [f"weakly compatible: {word}", res.certificate])
-    return code
+    return _verdict(res, "weakly compatible")
 
 
-@main.command("verify-strong")
-@_input_opt
-@_out_opt
-@_json_opt
-@click.option("--n-seq", default=None,
-              help="Comma-separated resolution sequence, e.g. 50,75,100.")
+@_command("verify-strong")
+@_n_seq_opt
 @click.option("--resolution", default=None, type=int,
               help="Single-resolution check instead of the iterative walk.")
-@click.option("--eps", default=None, type=float,
-              help="Stabilization tolerance override (decimal units).")
-@_guarded
-def cmd_verify_strong(input_path, out_path, as_json, n_seq, resolution, eps):
+def cmd_verify_strong(snap, out_path, n_seq, resolution):
     """Decide strong compatibility via the resolution sequence."""
-    snap = load_snapshot(input_path)
     if resolution is not None:
         res = verify_strong_at_N(snap, resolution)
-        feasible, solution = res.feasible, res.solution
-        word, code = _verdict(res)
-        payload = {"compatible": feasible, "resolution": resolution,
-                   "status": res.status.value, "certificate": res.certificate}
-        lines = [f"strongly compatible at N={resolution}: {word}",
-                 res.certificate]
+        solution = res.solution
+        report = _verdict(res, f"strongly compatible at N={resolution}",
+                          resolution=resolution)
     else:
-        seq = DEFAULT_N_SEQUENCE if n_seq is None else tuple(
-            int(v) for v in n_seq.split(","))
-        kw = {}
-        if eps is not None:
-            kw = {"eps_spread": eps, "eps_upfront": eps}
-        out = iterative_verify(snap, N_sequence=seq, **kw)
-        feasible, solution = out.compatible, out.solution
-        code = EXIT_OK if feasible else EXIT_INCOMPATIBLE
+        out = iterative_verify(snap, N_sequence=_numbers(n_seq, int))
+        solution = out.solution
+        verdict = "yes" if out.compatible else (
+            f"no (tranche {out.failing_tranche} out of range)")
         payload = {
             "compatible": out.compatible,
             "final_resolution": out.final_N,
@@ -215,213 +215,145 @@ def cmd_verify_strong(input_path, out_path, as_json, n_seq, resolution, eps):
                  "upper": r.upper} for r in out.history
             ],
         }
-        verdict = "yes" if out.compatible else (
-            f"no (tranche {out.failing_tranche} out of range)")
         lines = [f"strongly compatible: {verdict}",
                  f"final resolution: {out.final_N}"]
-    if feasible and solution is not None and out_path:
+        report = (payload, lines,
+                  EXIT_OK if out.compatible else EXIT_INCOMPATIBLE)
+    if solution is not None and out_path:
         strong_to_csv(solution, snap.schedule, out_path, as_of=snap.as_of)
-    _emit(payload, as_json, lines)
-    return code
+    return report
 
 
-@main.command("verify-bid-ask")
-@_input_opt
-@_out_opt
-@_json_opt
+@_command("verify-bid-ask")
 @click.option("--mode", default="weak", type=click.Choice(["weak", "strong"]))
 @click.option("--resolution", default=100, type=int, show_default=True,
               help="Resolution for --mode strong.")
-@_guarded
-def cmd_verify_bid_ask(input_path, out_path, as_json, mode, resolution):
+def cmd_verify_bid_ask(snap, out_path, mode, resolution):
     """Compatibility against two-sided quotes."""
-    snap = load_snapshot(input_path)
     if mode == "weak":
         res = verify_weak_bid_ask(snap)
         if res.feasible and out_path:
             dpm_to_csv(res.dpm, snap.schedule, out_path)
     else:
         res = verify_strong_bid_ask(snap, resolution)
-        if res.feasible and res.solution is not None and out_path:
+        if res.feasible and out_path:
             strong_to_csv(res.solution, snap.schedule, out_path,
                           as_of=snap.as_of)
-    word, code = _verdict(res)
-    _emit({"compatible": res.feasible, "mode": mode,
-           "status": res.status.value, "certificate": res.certificate},
-          as_json,
-          [f"{mode} bid-ask compatible: {word}", res.certificate])
-    return code
+    return _verdict(res, f"{mode} bid-ask compatible", mode=mode)
 
 
-@main.command()
-@_input_opt
-@_out_opt
+@_command("ranges")
 @_fmt_opt
-@_json_opt
-@click.option("--n-seq", default=None,
-              help="Comma-separated resolutions (default 50,75,...,200).")
-@_guarded
-def ranges(input_path, out_path, fmt, as_json, n_seq):
+@_n_seq_opt
+def ranges(snap, out_path, fmt, n_seq):
     """Implied quote range of each tranche given the other quotes."""
-    snap = load_snapshot(input_path)
-    seq = DEFAULT_N_SEQUENCE if n_seq is None else tuple(
-        int(v) for v in n_seq.split(","))
     payload = {}
     lines = []
-    rows = []
-    for N in seq:
+    for N in _numbers(n_seq, int):
         entries = []
         for l, tranche in enumerate(snap.tranches):
             fixed = [k for k in range(snap.n_tranches) if k != l]
             try:
                 lo, hi = range_at_N(snap, fixed, l, N)
-            except InfeasibleRegion:
-                click.echo(f"no strong solution at N={N} prices the quotes "
-                           f"other than tranche {tranche.label}", err=True)
-                return EXIT_INCOMPATIBLE
-            quote, units = _quote_display(tranche, snap.quotes, l)
-            lo_d = _to_display(tranche.quote_kind, lo)
-            hi_d = _to_display(tranche.quote_kind, hi)
-            inside = lo_d - 1e-9 <= quote <= hi_d + 1e-9
-            entries.append({"tranche": tranche.label, "kind": tranche.quote_kind,
-                            "units": units, "lower": lo_d, "upper": hi_d,
-                            "quote": quote, "inside": inside})
-            rows.append((N, tranche.label, tranche.quote_kind, units,
-                         lo_d, hi_d, quote, inside))
-            lines.append(f"N={N} {tranche.label}: [{lo_d:.4f}, {hi_d:.4f}] "
-                         f"{units}, quote {quote:.4f} "
-                         f"({'inside' if inside else 'outside'})")
+            except InfeasibleRegion as exc:
+                raise InfeasibleRegion(
+                    f"no strong solution at N={N} prices the quotes other "
+                    f"than tranche {tranche.label}") from exc
+            kind = tranche.quote_kind
+            quotes = snap.quotes.upfront if kind == "upfront" else snap.quotes.spread
+            entry = _bounds_payload(kind, lo, hi, tranche.label)
+            entry["quote"] = _to_display(kind, quotes[l])
+            entry["inside"] = (entry["lower"] - 1e-9 <= entry["quote"]
+                               <= entry["upper"] + 1e-9)
+            entries.append(entry)
+            lines.append(f"N={N} {tranche.label}: [{entry['lower']:.4f}, "
+                         f"{entry['upper']:.4f}] {entry['units']}, quote "
+                         f"{entry['quote']:.4f} "
+                         f"({'inside' if entry['inside'] else 'outside'})")
         payload[str(N)] = entries
-    if out_path:
-        if fmt == "json":
-            with open(out_path, "w") as fh:
-                json.dump(payload, fh, indent=2)
-        else:
-            with open(out_path, "w") as fh:
-                fh.write("N,tranche,kind,units,lower,upper,quote,inside\n")
-                for r in rows:
-                    fh.write(",".join(str(v) for v in r) + "\n")
-    _emit(payload, as_json, lines)
-    return EXIT_OK
+    _save(out_path, payload if fmt == "json" else _csv(
+        "N,tranche,kind,units,lower,upper,quote,inside",
+        [(N, *e.values()) for N, entries in payload.items() for e in entries]))
+    return payload, lines, EXIT_OK
 
 
-def _bounds_payload(kind, lower, upper, label):
-    units = "pct" if kind == "upfront" else "bps"
-    return {"tranche": label, "kind": kind, "units": units,
-            "lower": _to_display(kind, lower), "upper": _to_display(kind, upper)}
-
-
-@main.command("bounds-tranche")
-@_input_opt
-@_out_opt
-@_json_opt
+@_command("bounds-tranche")
 @click.option("--attach", required=True, type=float, help="Attachment, decimal.")
-@click.option("--detach", required=True, type=float, help="Detachment, decimal.")
-@click.option("--kind", default="spread", type=click.Choice(["upfront", "spread"]))
-@click.option("--running-bps", default=0.0, type=float,
-              help="Fixed running spread for upfront quotes, bps.")
-@click.option("--sweep-detach", default=None,
-              help="Comma-separated detachment sweep replacing --detach.")
-@_guarded
-def cmd_bounds_tranche(input_path, out_path, as_json, attach, detach, kind,
-                       running_bps, sweep_detach):
+@click.option("--detach", required=True,
+              help="Detachment, decimal; a comma-separated list sweeps it.")
+@_kind_opt
+@_running_opt
+def cmd_bounds_tranche(snap, out_path, attach, detach, kind, running_bps):
     """Arbitrage-free quote bounds for a nonstandard tranche."""
-    snap = load_snapshot(input_path)
-    detaches = ([float(v) for v in sweep_detach.split(",")]
-                if sweep_detach else [detach])
     results = []
-    lines = []
-    for d in detaches:
+    for d in _numbers(detach):
         try:
             lo, hi = nonstandard_tranche_bounds(
                 snap, attach, d, kind, fixed_running=running_bps * 1e-4)
-        except InfeasibleRegion:
-            click.echo("quoted tranches are not weakly compatible", err=True)
-            return EXIT_INCOMPATIBLE
-        entry = _bounds_payload(kind, lo, hi, f"[{attach:g},{d:g}]")
-        results.append(entry)
-        lines.append(f"{entry['tranche']}: [{entry['lower']:.4f}, "
-                     f"{entry['upper']:.4f}] {entry['units']}")
+        except InfeasibleRegion as exc:
+            raise InfeasibleRegion(
+                "quoted tranches are not weakly compatible") from exc
+        results.append(_bounds_payload(kind, lo, hi, f"[{attach:g},{d:g}]"))
     payload = results[0] if len(results) == 1 else results
-    if out_path:
-        with open(out_path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-    _emit(payload, as_json, lines)
-    return EXIT_OK
+    _save(out_path, payload)
+    return payload, [f"{e['tranche']}: [{e['lower']:.4f}, {e['upper']:.4f}] "
+                     f"{e['units']}" for e in results], EXIT_OK
 
 
-@main.command("bounds-names")
-@_input_opt
-@_out_opt
-@_json_opt
+@_command("bounds-names")
 @click.option("--names", required=True, type=int, help="Nonstandard pool size.")
 @click.option("--attach", required=True, type=float)
 @click.option("--detach", required=True, type=float)
-@click.option("--kind", default="spread", type=click.Choice(["upfront", "spread"]))
-@click.option("--running-bps", default=0.0, type=float)
+@_kind_opt
+@_running_opt
 @click.option("--resolution", default=100, type=int, show_default=True)
-@_guarded
-def cmd_bounds_names(input_path, out_path, as_json, names, attach, detach,
-                     kind, running_bps, resolution):
+def cmd_bounds_names(snap, out_path, names, attach, detach, kind, running_bps,
+                     resolution):
     """Quote bounds for a tranche on a pool with a nonstandard name count."""
-    snap = load_snapshot(input_path)
     try:
         lo, hi = nonstandard_names_bounds(
             snap, resolution, names, attach, detach, kind,
             fixed_running=running_bps * 1e-4)
-    except InfeasibleRegion:
-        click.echo(f"no strong solution at N={resolution}", err=True)
-        return EXIT_INCOMPATIBLE
+    except InfeasibleRegion as exc:
+        raise InfeasibleRegion(f"no strong solution at N={resolution}") from exc
     payload = _bounds_payload(kind, lo, hi, f"[{attach:g},{detach:g}]")
     payload["names"] = names
     payload["resolution"] = resolution
-    if out_path:
-        with open(out_path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-    _emit(payload, as_json,
-          [f"{payload['tranche']} on {names} names: "
-           f"[{payload['lower']:.4f}, {payload['upper']:.4f}] {payload['units']}"])
-    return EXIT_OK
+    _save(out_path, payload)
+    return payload, [f"{payload['tranche']} on {names} names: "
+                     f"[{payload['lower']:.4f}, {payload['upper']:.4f}] "
+                     f"{payload['units']}"], EXIT_OK
 
 
-@main.command()
-@_input_opt
-@_out_opt
-@_json_opt
+@_command("hedge")
 @click.option("--shift-bps", default=1.0, type=float, show_default=True)
 @click.option("--prior", "prior_path", default=None,
               type=click.Path(exists=True, dir_okay=False),
               help="Stored default-probability matrix CSV; defaults to the "
                    "weak-compatibility certificate.")
-@_guarded
-def hedge(input_path, out_path, as_json, shift_bps, prior_path):
+def hedge(snap, out_path, shift_bps, prior_path):
     """Index hedge ratios from the minimum relative entropy bump response."""
-    snap = load_snapshot(input_path)
     if prior_path is not None:
         _, prior = dpm_from_csv(prior_path)
     else:
         res = verify_weak(snap)
         if not res.feasible:
-            return _no_certificate(res, "weakly compatible", "hedge", as_json)
+            return _verdict(res, "weakly compatible", task="hedge")
         prior = res.dpm
     report = spread_delta(snap, prior, shift_bps=shift_bps)
-    if out_path:
-        report.to_json(out_path)
-    _emit(report.as_dict(), as_json,
-          [f"index cds value change: {report.dv_cds:.8g}"] + [
-              f"[{a:g},{d:g}]: dv {v:.8g}, delta {h:.6f}"
-              for a, d, v, h in zip(report.attach, report.detach,
-                                    report.dv, report.delta)
-          ] + [f"delta sum: {sum(report.delta):.6f}",
-               f"entropy solve: {report.solver['iterations']} Newton steps, "
-               f"kkt {report.solver['kkt']:.2e}, {report.solver['wall_s']:.2f} s"])
-    return EXIT_OK
+    payload = report.as_dict()
+    _save(out_path, payload)
+    return payload, [f"index cds value change: {report.dv_cds:.8g}"] + [
+        f"[{a:g},{d:g}]: dv {v:.8g}, delta {h:.6f}"
+        for a, d, v, h in zip(report.attach, report.detach, report.dv,
+                              report.delta)
+    ] + [f"delta sum: {sum(report.delta):.6f}",
+         f"entropy solve: {report.solver['iterations']} Newton steps, "
+         f"kkt {report.solver['kkt']:.2e}, {report.solver['wall_s']:.2f} s"
+         ], EXIT_OK
 
 
-@main.command()
-@_input_opt
-@_out_opt
-@_json_opt
+@_command("simulate")
 @click.option("--paths", default=100_000, type=int, show_default=True)
 @click.option("--seed", default=0, type=int, show_default=True)
 @click.option("--positions", default=None,
@@ -431,21 +363,18 @@ def hedge(input_path, out_path, as_json, shift_bps, prior_path):
 @click.option("--solution", "solution_path", default=None,
               type=click.Path(exists=True, dir_okay=False),
               help="Stored generator law CSV instead of a fresh solve.")
-@_guarded
-def simulate(input_path, out_path, as_json, paths, seed, positions,
-             resolution, solution_path):
+def simulate(snap, out_path, paths, seed, positions, resolution,
+             solution_path):
     """Draw default paths from a strong solution and price the book."""
-    snap = load_snapshot(input_path)
     if solution_path is not None:
         _, solution, _ = strong_from_csv(solution_path)
     else:
         res = verify_strong_at_N(snap, resolution)
         if not res.feasible:
-            return _no_certificate(res, f"strongly compatible at N={resolution}",
-                                   "simulation", as_json)
+            return _verdict(res, f"strongly compatible at N={resolution}",
+                            task="simulation")
         solution = res.solution
-    pos = (np.array([float(v) for v in positions.split(",")])
-           if positions else None)
+    pos = np.array(_numbers(positions)) if positions else None
     summary = simulate_npv(solution, snap, paths, seed, positions=pos,
                            csv_path=out_path)
     lines = [f"paths: {summary.n_paths}, seed: {summary.seed}"]
@@ -453,8 +382,7 @@ def simulate(input_path, out_path, as_json, paths, seed, positions,
         lines.append(
             f"{label}: mean {summary.mean[k]:.6g} (model {summary.expected[k]:.6g}), "
             f"sd {summary.std[k]:.6g}, t {summary.t_stat[k]:.2f}")
-    _emit(summary.as_dict(), as_json, lines)
-    return EXIT_OK
+    return summary.as_dict(), lines, EXIT_OK
 
 
 if __name__ == "__main__":

@@ -47,7 +47,7 @@ class PaymentSchedule:
     @classmethod
     def quarterly(cls, years=5.0):
         dates = tuple((i + 1) * 0.25 for i in range(int(round(years * 4))))
-        return cls(dates, dates[-1] + 0.25)
+        return cls(dates, (len(dates) + 1) * 0.25)
 
     @property
     def m(self):
@@ -407,9 +407,3 @@ def snapshot_to_dict(snap):
                 td["ask_value"] = snap.ask.spread[l] * 1e4
         doc["tranches"].append(td)
     return doc
-
-
-def save_snapshot(snap, path):
-    with open(path, "w") as fh:
-        json.dump(snapshot_to_dict(snap), fh, indent=2)
-        fh.write("\n")

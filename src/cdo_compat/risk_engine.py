@@ -14,7 +14,6 @@ streams online summaries so path counts in the millions stay cheap.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -92,10 +91,6 @@ class HedgeReport:
             ],
             "solver": self.solver,
         }
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            fh.write(json.dumps(self.as_dict(), indent=2) + "\n")
 
 
 def spread_delta(snapshot, prior, shift_bps=1.0):

@@ -214,14 +214,6 @@ def verify_weak_bid_ask(snapshot):
     return WeakResult(*_verify(snapshot, problem, bid_ask=True))
 
 
-def _loss_timing_coeffs(sched, disc):
-    """D(mid_i) - D(mid_{i+1}) 1_{i<m}: the default-leg part of lambda."""
-    d_mid = disc(sched.midpoints)
-    lc = d_mid[: sched.m].copy()
-    lc[: sched.m - 1] -= d_mid[1: sched.m]
-    return lc
-
-
 def _target(attach, detach, quote_kind, fixed_running):
     running = fixed_running if quote_kind == "upfront" else 0.0
     return TrancheSpec(attach, detach, quote_kind, running)
@@ -253,7 +245,7 @@ def _bounds(snapshot, problem, target, loss):
             return (res.objective - gamma0) / target.width
     else:
         acc_disc = disc(np.asarray(sched.payment_dates)) * sched.accruals
-        c_num = np.outer(_loss_timing_coeffs(sched, disc), loss).ravel()
+        c_num = np.outer(lambda_coeffs(0.0, sched, disc), loss).ravel()
         c_den = -np.outer(acc_disc, loss).ravel()
         d_den = target.width * float(acc_disc.sum())
 

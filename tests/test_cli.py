@@ -38,6 +38,13 @@ def _torn_path(snapshot, tmp_path):
     return _write_snapshot(tmp_path, raw, "torn.json")
 
 
+def _far_path(snapshot, tmp_path):
+    # with the 12-100% tranche at 300 bp no N=50 law prices every quote
+    raw = snapshot_to_dict(snapshot)
+    raw["tranches"][3]["quote_value"] = 300.0
+    return _write_snapshot(tmp_path, raw, "far.json")
+
+
 def _banded_path(snapshot, tmp_path, crossed=False):
     raw = snapshot_to_dict(snapshot)
     widths = [(0.3, 0.3), (0.3, 0.3), (2.0, 2.0), (2.0, 2.0)]
@@ -48,10 +55,13 @@ def _banded_path(snapshot, tmp_path, crossed=False):
     return _write_snapshot(tmp_path, raw, "banded.json")
 
 
-def test_calibrate_reports_the_fitted_curve(runner):
-    res = runner.invoke(main, ["calibrate", "-i", str(SNAPSHOT_PATH), "--json"])
+def test_calibrate_reports_the_fitted_curve(runner, tmp_path):
+    out = tmp_path / "curve.json"
+    res = runner.invoke(main, ["calibrate", "-i", str(SNAPSHOT_PATH), "--json",
+                               "--out", str(out)])
     assert res.exit_code == 0
     payload = json.loads(res.output)
+    assert json.loads(out.read_text()) == payload
     assert payload["hazard"] == pytest.approx(HAZARD_58, rel=1e-10)
     assert payload["implied_index_spread_bps"] == pytest.approx(58.0, abs=1e-6)
     assert payload["pv01"] > 0.0
@@ -162,6 +172,26 @@ def test_solver_failure_is_not_an_incompatible_verdict(runner, snapshot,
         assert json.loads(res.output)["status"] == "numerical_failure"
 
 
+@pytest.mark.parametrize("torn, argv, message", [
+    (True, ["hedge"], "weakly compatible: no; no hedge"),
+    (True, ["simulate", "--resolution", "50"],
+     "strongly compatible at N=50: no; no simulation"),
+    (True, ["bounds-tranche", "--attach", "0.04", "--detach", "0.08",
+            "--kind", "upfront", "--running-bps", "100"],
+     "quoted tranches are not weakly compatible"),
+    (False, ["bounds-names", "--names", "150", "--attach", "0.06",
+             "--detach", "0.12", "--resolution", "50"],
+     "no strong solution at N=50"),
+])
+def test_incompatible_quotes_exit_1_with_the_reason(runner, snapshot, tmp_path,
+                                                    torn, argv, message):
+    path = (_torn_path if torn else _far_path)(snapshot, tmp_path)
+    res = runner.invoke(main, argv[:1] + ["-i", path] + argv[1:])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.splitlines()[0] == message
+
+
 def test_verify_bid_ask_rejects_crossed_bands(runner, snapshot, tmp_path):
     res = runner.invoke(main, ["verify-bid-ask", "-i",
                                _banded_path(snapshot, tmp_path, crossed=True)])
@@ -169,11 +199,13 @@ def test_verify_bid_ask_rejects_crossed_bands(runner, snapshot, tmp_path):
     assert "error" in res.output
 
 
-def test_ranges_contain_every_quote(runner):
+def test_ranges_contain_every_quote(runner, tmp_path):
+    out = tmp_path / "ranges.json"
     res = runner.invoke(main, ["ranges", "-i", str(SNAPSHOT_PATH),
-                               "--n-seq", "50", "--json"])
+                               "--n-seq", "50", "--json", "--out", str(out)])
     assert res.exit_code == 0
     payload = json.loads(res.output)
+    assert json.loads(out.read_text()) == payload
     assert set(payload) == {"50"}
     assert len(payload["50"]) == 4
     for entry in payload["50"]:
@@ -185,9 +217,7 @@ def test_ranges_report_an_empty_polytope_without_a_traceback(runner, snapshot,
                                                             tmp_path):
     # with the 12-100% tranche at 300 bp no N=50 law prices the quotes other
     # than the equity tranche, so its range has no feasible region
-    raw = snapshot_to_dict(snapshot)
-    raw["tranches"][3]["quote_value"] = 300.0
-    res = runner.invoke(main, ["ranges", "-i", _write_snapshot(tmp_path, raw),
+    res = runner.invoke(main, ["ranges", "-i", _far_path(snapshot, tmp_path),
                                "--n-seq", "50"])
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
@@ -195,35 +225,42 @@ def test_ranges_report_an_empty_polytope_without_a_traceback(runner, snapshot,
                                   "quotes other than tranche [0,0.03]")
 
 
-def test_bounds_tranche_pins_the_index_spread(runner):
+def test_bounds_tranche_pins_the_index_spread(runner, tmp_path):
+    out = tmp_path / "bounds.json"
     res = runner.invoke(main, ["bounds-tranche", "-i", str(SNAPSHOT_PATH),
                                "--attach", "0.0", "--detach", "1.0",
-                               "--kind", "spread", "--json"])
+                               "--kind", "spread", "--json", "--out", str(out)])
     assert res.exit_code == 0
     payload = json.loads(res.output)
+    assert json.loads(out.read_text()) == payload
     assert payload["units"] == "bps"
     assert payload["lower"] == pytest.approx(57.4946, abs=1e-3)
     assert payload["upper"] == pytest.approx(57.4946, abs=1e-3)
 
 
-def test_bounds_tranche_sweeps_detachments(runner):
+def test_bounds_tranche_sweeps_detachments(runner, tmp_path):
+    out = tmp_path / "sweep.json"
     res = runner.invoke(main, ["bounds-tranche", "-i", str(SNAPSHOT_PATH),
                                "--attach", "0.0", "--kind", "upfront",
-                               "--running-bps", "100", "--detach", "0.03",
-                               "--sweep-detach", "0.03,0.05", "--json"])
+                               "--running-bps", "100", "--detach", "0.03,0.05",
+                               "--json", "--out", str(out)])
     assert res.exit_code == 0
     payload = json.loads(res.output)
+    assert json.loads(out.read_text()) == payload
     assert [e["tranche"] for e in payload] == ["[0,0.03]", "[0,0.05]"]
     assert payload[0]["lower"] == pytest.approx(28.438, abs=1e-3)
 
 
-def test_bounds_names_recovers_the_quote_at_the_standard_size(runner):
+def test_bounds_names_recovers_the_quote_at_the_standard_size(runner,
+                                                              tmp_path):
+    out = tmp_path / "names.json"
     res = runner.invoke(main, ["bounds-names", "-i", str(SNAPSHOT_PATH),
                                "--names", "125", "--attach", "0.06",
                                "--detach", "0.12", "--kind", "spread",
-                               "--resolution", "50", "--json"])
+                               "--resolution", "50", "--json", "--out", str(out)])
     assert res.exit_code == 0
     payload = json.loads(res.output)
+    assert json.loads(out.read_text()) == payload
     assert payload["names"] == 125
     assert payload["lower"] == pytest.approx(106.32, abs=1e-2)
     assert payload["upper"] == pytest.approx(106.32, abs=1e-2)
@@ -289,17 +326,21 @@ def _malformed_argv(case, snapshot, tmp_path):
     if case == "quote_value":
         del raw["tranches"][1]["quote_value"]
         return ["verify-weak", "-i", _write_snapshot(tmp_path, raw)]
+    if case == "years":
+        raw["schedule"]["years"] = 0
+        return ["calibrate", "-i", _write_snapshot(tmp_path, raw)]
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     return ["hedge", "-i", str(SNAPSHOT_PATH), "--prior", str(empty)]
 
 
-@pytest.mark.parametrize("case", ["rate_pct", "quote_value", "empty prior"])
+@pytest.mark.parametrize("case", ["rate_pct", "quote_value", "years",
+                                  "empty prior"])
 def test_malformed_input_is_an_error_not_a_verdict(runner, snapshot, tmp_path,
                                                    case):
     res = runner.invoke(main, _malformed_argv(case, snapshot, tmp_path))
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert res.stderr.startswith("error:")
-    if case != "empty prior":
+    if case in ("rate_pct", "quote_value"):
         assert case in res.stderr
