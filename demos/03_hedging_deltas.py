@@ -5,7 +5,7 @@ from pathlib import Path
 from cdo_compat import load_snapshot, spread_delta, verify_weak
 
 snapshot = load_snapshot(Path(__file__).with_name("snapshot.json"))
-prior = verify_weak(snapshot).dpm
+prior = verify_weak(snapshot).law
 
 report = spread_delta(snapshot, prior, shift_bps=1.0)
 print(f"one basis point on the index moves a unit-notional index swap by "

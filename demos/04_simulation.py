@@ -6,10 +6,10 @@ from pathlib import Path
 from cdo_compat import load_snapshot, simulate_npv, verify_strong_at_N
 
 snapshot = load_snapshot(Path(__file__).with_name("snapshot.json"))
-solution = verify_strong_at_N(snapshot, 100).solution
+law = verify_strong_at_N(snapshot, 100).law
 
 positions = [-4.0, 2.0, -1.0, 0.0]
-summary = simulate_npv(solution, snapshot, n_paths=200_000, seed=7,
+summary = simulate_npv(law, snapshot, n_paths=200_000, seed=7,
                        positions=positions)
 
 print(f"{summary.n_paths} paths, seed {summary.seed}, positions {positions}")

@@ -15,18 +15,16 @@ from .risk_engine import (HedgeReport, InfeasibleConstraints,
                           SimulationSummary, posterior_dpm, read_samples,
                           simulate_npv, spread_delta)
 from .strong_compat import (GammaDistortion, GeneratorSampler, HCoefficients,
-                            InvalidSolution, IterationLimit, IterativeResult,
-                            StrongResult, StrongSolution, h_matrix,
+                            IterationLimit, IterativeResult, h_matrix,
                             iterative_verify, nonstandard_names_bounds,
-                            qij_from_p, range_at_N, strong_from_csv,
-                            strong_to_csv, verify_strong_at_N,
+                            qij_from_p, range_at_N, verify_strong_at_N,
                             verify_strong_bid_ask)
 from .tranche_valuation import (DimensionMismatch, NonMonotonePath,
                                 TrancheCoefficients, beta_coeffs,
                                 coefficients_for, expected_npv, gamma_coeff,
                                 lambda_coeffs, realized_npv)
 from .weak_compat import (InfeasibleRegion, InvalidQuotes, UnboundedRatio,
-                          WeakResult, nonstandard_tranche_bounds, verify_weak,
+                          Verdict, nonstandard_tranche_bounds, verify_weak,
                           verify_weak_bid_ask)
 
 __version__ = "0.1.0"
@@ -35,20 +33,19 @@ __all__ = [
     "AugmentedDPM", "DPM", "DegenerateDenominator", "DimensionMismatch",
     "DiscountCurve", "GammaDistortion", "GeneratorSampler", "HCoefficients",
     "HedgeReport", "InfeasibleConstraints", "InfeasibleRegion", "InvalidDPM",
-    "InvalidQuotes", "InvalidRecovery", "InvalidSolution", "IterationLimit",
-    "IterativeResult", "MarginalDefaultCurve", "MarketSnapshot", "NoRoot",
-    "NonMonotonePath", "PaymentSchedule", "PortfolioSpec", "QuoteVector",
-    "SimulationSummary", "SolveStatus", "SolverError", "StrongResult",
-    "StrongSolution", "TooLargeForExact", "TrancheCoefficients", "TrancheSpec",
-    "WeakResult", "beta_coeffs", "calibrate_hazard", "cds_value_change",
-    "coefficients_for", "default_times_from_dpm", "dpm_from_csv", "dpm_to_csv",
-    "expected_npv",
-    "gamma_coeff", "h_matrix", "implied_copula_value", "implied_index_spread",
-    "iterative_verify", "lambda_coeffs", "load_snapshot",
-    "nonstandard_names_bounds", "nonstandard_tranche_bounds", "posterior_dpm",
-    "pv01", "qij_from_p", "range_at_N", "read_samples", "realized_npv",
-    "simulate_npv", "snapshot_from_dict", "snapshot_to_dict",
-    "solve_lfp", "solve_lp", "solve_relative_entropy", "spread_delta",
-    "strong_from_csv", "strong_to_csv", "validate_dpm", "verify_strong_at_N",
-    "verify_strong_bid_ask", "verify_weak", "verify_weak_bid_ask",
+    "InvalidQuotes", "InvalidRecovery", "IterationLimit", "IterativeResult",
+    "MarginalDefaultCurve", "MarketSnapshot", "NoRoot", "NonMonotonePath",
+    "PaymentSchedule", "PortfolioSpec", "QuoteVector", "SimulationSummary",
+    "SolveStatus", "SolverError", "TooLargeForExact", "TrancheCoefficients",
+    "TrancheSpec", "Verdict", "beta_coeffs", "calibrate_hazard",
+    "cds_value_change", "coefficients_for", "default_times_from_dpm",
+    "dpm_from_csv", "dpm_to_csv", "expected_npv", "gamma_coeff", "h_matrix",
+    "implied_copula_value", "implied_index_spread", "iterative_verify",
+    "lambda_coeffs", "load_snapshot", "nonstandard_names_bounds",
+    "nonstandard_tranche_bounds", "posterior_dpm", "pv01", "qij_from_p",
+    "range_at_N", "read_samples", "realized_npv", "simulate_npv",
+    "snapshot_from_dict", "snapshot_to_dict", "solve_lfp", "solve_lp",
+    "solve_relative_entropy", "spread_delta", "validate_dpm",
+    "verify_strong_at_N", "verify_strong_bid_ask", "verify_weak",
+    "verify_weak_bid_ask",
 ]

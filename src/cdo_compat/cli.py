@@ -2,11 +2,11 @@
 
 Every command reads a market snapshot (JSON) through --input and reports to
 stdout, either as short human-readable lines or, with --json, as a single
-JSON document. Artifacts (fitted distributions, generator laws, sample
-files, reports) go to --out; a JSON artifact holds the bytes that --json
-prints. Exit status encodes the verdict: 0 for success or a compatible
-market, 1 for an incompatible market, 2 for input or solver errors (a
-verification whose solver failed decides nothing and exits 2).
+JSON document. Artifacts (fitted distributions, laws in one CSV format,
+sample files, reports) go to --out; a JSON artifact holds the bytes that
+--json prints. Exit status encodes the verdict: 0 for success or a
+compatible market, 1 for an incompatible market, 2 for input or solver
+errors (a verification whose solver failed decides nothing and exits 2).
 """
 
 from __future__ import annotations
@@ -16,18 +16,17 @@ import json
 import sys
 
 import click
-import numpy as np
 
 from . import __version__
 from .dpm_core import InvalidDPM, dpm_from_csv, dpm_to_csv
 from .market_model import NoRoot, implied_index_spread, load_snapshot, pv01
 from .opt_backend import SolverError, SolveStatus
-from .risk_engine import InfeasibleConstraints, simulate_npv, spread_delta
-from .strong_compat import (DEFAULT_N_SEQUENCE, InvalidSolution,
-                            IterationLimit, iterative_verify,
-                            nonstandard_names_bounds, range_at_N,
-                            strong_from_csv, strong_to_csv,
-                            verify_strong_at_N, verify_strong_bid_ask)
+from .risk_engine import (InfeasibleConstraints, check_bump, check_simulation,
+                          simulate_npv, spread_delta)
+from .strong_compat import (DEFAULT_N_SEQUENCE, IterationLimit,
+                            iterative_verify, nonstandard_names_bounds,
+                            range_at_N, verify_strong_at_N,
+                            verify_strong_bid_ask)
 from .weak_compat import (InfeasibleRegion, InvalidQuotes, UnboundedRatio,
                           nonstandard_tranche_bounds, verify_weak,
                           verify_weak_bid_ask)
@@ -73,8 +72,8 @@ def _command(name):
             except InfeasibleRegion as exc:
                 click.echo(str(exc), err=True)
                 sys.exit(EXIT_INCOMPATIBLE)
-            except (InvalidQuotes, NoRoot, InvalidDPM, InvalidSolution,
-                    UnboundedRatio, IterationLimit, ValueError, OSError,
+            except (InvalidQuotes, NoRoot, InvalidDPM, UnboundedRatio,
+                    IterationLimit, ValueError, OSError,
                     json.JSONDecodeError) as exc:
                 click.echo(f"error: {exc}", err=True)
                 sys.exit(EXIT_ERROR)
@@ -185,8 +184,8 @@ def calibrate(snap, out_path, fmt):
 def cmd_verify_weak(snap, out_path):
     """Decide weak compatibility of the quoted tranches."""
     res = verify_weak(snap)
-    if res.feasible and out_path:
-        dpm_to_csv(res.dpm, snap.schedule, out_path)
+    if out_path and res.law is not None:
+        dpm_to_csv(res.law, snap.schedule, out_path)
     return _verdict(res, "weakly compatible")
 
 
@@ -198,29 +197,27 @@ def cmd_verify_strong(snap, out_path, n_seq, resolution):
     """Decide strong compatibility via the resolution sequence."""
     if resolution is not None:
         res = verify_strong_at_N(snap, resolution)
-        solution = res.solution
         report = _verdict(res, f"strongly compatible at N={resolution}",
                           resolution=resolution)
     else:
-        out = iterative_verify(snap, N_sequence=_numbers(n_seq, int))
-        solution = out.solution
-        verdict = "yes" if out.compatible else (
-            f"no (tranche {out.failing_tranche} out of range)")
+        res = iterative_verify(snap, N_sequence=_numbers(n_seq, int))
+        verdict = "yes" if res.compatible else (
+            f"no (tranche {res.failing_tranche} out of range)")
         payload = {
-            "compatible": out.compatible,
-            "final_resolution": out.final_N,
-            "failing_tranche": out.failing_tranche,
+            "compatible": res.compatible,
+            "final_resolution": res.final_N,
+            "failing_tranche": res.failing_tranche,
             "ranges": [
                 {"tranche": r.tranche, "N": r.N, "lower": r.lower,
-                 "upper": r.upper} for r in out.history
+                 "upper": r.upper} for r in res.history
             ],
         }
         lines = [f"strongly compatible: {verdict}",
-                 f"final resolution: {out.final_N}"]
+                 f"final resolution: {res.final_N}"]
         report = (payload, lines,
-                  EXIT_OK if out.compatible else EXIT_INCOMPATIBLE)
-    if solution is not None and out_path:
-        strong_to_csv(solution, snap.schedule, out_path, as_of=snap.as_of)
+                  EXIT_OK if res.compatible else EXIT_INCOMPATIBLE)
+    if out_path and res.law is not None:
+        dpm_to_csv(res.law, snap.schedule, out_path)
     return report
 
 
@@ -230,15 +227,10 @@ def cmd_verify_strong(snap, out_path, n_seq, resolution):
               help="Resolution for --mode strong.")
 def cmd_verify_bid_ask(snap, out_path, mode, resolution):
     """Compatibility against two-sided quotes."""
-    if mode == "weak":
-        res = verify_weak_bid_ask(snap)
-        if res.feasible and out_path:
-            dpm_to_csv(res.dpm, snap.schedule, out_path)
-    else:
-        res = verify_strong_bid_ask(snap, resolution)
-        if res.feasible and out_path:
-            strong_to_csv(res.solution, snap.schedule, out_path,
-                          as_of=snap.as_of)
+    res = (verify_weak_bid_ask(snap) if mode == "weak"
+           else verify_strong_bid_ask(snap, resolution))
+    if out_path and res.law is not None:
+        dpm_to_csv(res.law, snap.schedule, out_path)
     return _verdict(res, f"{mode} bid-ask compatible", mode=mode)
 
 
@@ -333,13 +325,14 @@ def cmd_bounds_names(snap, out_path, names, attach, detach, kind, running_bps,
                    "weak-compatibility certificate.")
 def hedge(snap, out_path, shift_bps, prior_path):
     """Index hedge ratios from the minimum relative entropy bump response."""
+    check_bump(shift_bps)
     if prior_path is not None:
         _, prior = dpm_from_csv(prior_path)
     else:
         res = verify_weak(snap)
         if not res.feasible:
             return _verdict(res, "weakly compatible", task="hedge")
-        prior = res.dpm
+        prior = res.law
     report = spread_delta(snap, prior, shift_bps=shift_bps)
     payload = report.as_dict()
     _save(out_path, payload)
@@ -365,17 +358,18 @@ def hedge(snap, out_path, shift_bps, prior_path):
               help="Stored generator law CSV instead of a fresh solve.")
 def simulate(snap, out_path, paths, seed, positions, resolution,
              solution_path):
-    """Draw default paths from a strong solution and price the book."""
+    """Draw default paths from a generator law and price the book."""
+    pos = check_simulation(snap, paths,
+                           _numbers(positions) if positions else None)
     if solution_path is not None:
-        _, solution, _ = strong_from_csv(solution_path)
+        _, law = dpm_from_csv(solution_path)
     else:
         res = verify_strong_at_N(snap, resolution)
         if not res.feasible:
             return _verdict(res, f"strongly compatible at N={resolution}",
                             task="simulation")
-        solution = res.solution
-    pos = np.array(_numbers(positions)) if positions else None
-    summary = simulate_npv(solution, snap, paths, seed, positions=pos,
+        law = res.law
+    summary = simulate_npv(law, snap, paths, seed, positions=pos,
                            csv_path=out_path)
     lines = [f"paths: {summary.n_paths}, seed: {summary.seed}"]
     for k, label in enumerate(summary.labels):

@@ -6,7 +6,8 @@ the linear constraints that make a matrix a legitimate default-count law
 augments it with the t = 0 and post-maturity boundary rows, builds the
 explicit common-uniform default times that realize the matrix, and
 evaluates the exchangeable copula those times induce on the grid of
-marginal probabilities.
+marginal probabilities. A generator law at resolution N obeys the same
+constraints over N + 1 states, so it is a DPM whose n is N.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ EXACT_PERMUTATION_CAP = 8
 
 class InvalidDPM(ValueError):
     """The matrix violates the default-count-law constraints."""
-
-
-class InvalidSolution(ValueError):
-    """A generator law failed its structural constraints."""
 
 
 class TooLargeForExact(ValueError):
@@ -255,7 +252,7 @@ def implied_copula_value(aug, y, mode="exact", samples=100_000, seed=0,
 
 
 def dpm_to_csv(dpm, sched, path):
-    """Write the matrix with a times header: time, j=0, ..., j=n."""
+    """Write a law (q, or p at resolution N) with a header: time, j=0, ..., j=n."""
     if sched.m != dpm.m:
         raise ValueError("schedule and matrix disagree on the period count")
     with open(path, "w", newline="") as fh:
@@ -266,7 +263,7 @@ def dpm_to_csv(dpm, sched, path):
 
 
 def dpm_from_csv(path):
-    """Read a matrix written by dpm_to_csv; returns (times, DPM)."""
+    """Read a law written by dpm_to_csv; returns (times, DPM), n = columns - 1."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)

@@ -6,9 +6,9 @@ distribution the least (in Kullback-Leibler divergence) that the bumped
 marginals and the structural constraints allow. Tranche value changes
 against the posterior, scaled by the CDS value change, give hedge ratios.
 
-Simulation draws portfolio paths from a strong solution via its generator
-law and the two-gamma distortion, prices every tranche on each path, and
-streams online summaries so path counts in the millions stay cheap.
+Simulation draws portfolio paths from a generator law and the two-gamma
+distortion, prices every tranche on each path, and streams online
+summaries so path counts in the millions stay cheap.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from . import opt_backend
 from .dpm_core import DPM, repair_structure
 from .market_model import calibrate_hazard, cds_value_change
 from .opt_backend import SolveStatus, SolverError
-from .strong_compat import GammaDistortion, h_matrix, qij_from_p
+from .strong_compat import (GammaDistortion, GeneratorSampler, h_matrix,
+                            qij_from_p)
 from .tranche_valuation import (DimensionMismatch, coefficients_for,
                                 expected_npv)
 from .weak_compat import marginal_blocks, monotonicity_block
@@ -93,31 +94,41 @@ class HedgeReport:
         }
 
 
+def _check_reprices(values, law, consequence):
+    """ValueError if a law misprices a quoted tranche by more than PRICE_CHECK_TOL."""
+    worst = float(np.max(np.abs(values)))
+    if worst > PRICE_CHECK_TOL:
+        raise ValueError(f"{law} misprices a quoted tranche by {worst:.3e}; "
+                         f"{consequence}")
+
+
+def check_bump(shift_bps):
+    """A zero or non-finite bump has no response to divide by: ValueError."""
+    if not math.isfinite(shift_bps) or shift_bps == 0.0:
+        raise ValueError(
+            f"spread bump must be finite and non-zero, got {shift_bps} bp")
+
+
 def spread_delta(snapshot, prior, shift_bps=1.0):
     """Hedge ratios of all quoted tranches against the index at one bump.
 
     The prior must reprice the quotes (checked against PRICE_CHECK_TOL); the
     posterior is its entropy projection onto marginals recalibrated at the
     bumped index spread. delta_l = dv_l / dv_cds where dv_cds is the value
-    change of a unit-notional index swap under the same bump. A zero or
-    non-finite bump has no response to divide by and raises ValueError
-    before anything is solved.
+    change of a unit-notional index swap under the same bump. The bump is
+    checked (``check_bump``) before anything is solved.
     """
-    if not math.isfinite(shift_bps) or shift_bps == 0.0:
-        raise ValueError(
-            f"spread bump must be finite and non-zero, got {shift_bps} bp")
+    check_bump(shift_bps)
     coeffs = coefficients_for(snapshot)
-    worst = max(abs(expected_npv(prior, c)) for c in coeffs)
-    if worst > PRICE_CHECK_TOL:
-        raise ValueError(
-            f"prior misprices a quoted tranche by {worst:.3e}; hedge ratios "
-            "against it would mix calibration error into the bump response")
+    prior_values = [expected_npv(prior, c) for c in coeffs]
+    _check_reprices(prior_values, "prior", "hedge ratios against it would mix "
+                    "calibration error into the bump response")
     ds = shift_bps * 1e-4
     shifted_curve = calibrate_hazard(
         snapshot.index_spread + ds, snapshot.schedule, snapshot.discount,
         snapshot.portfolio.recovery)
     posterior, solver = posterior_dpm(prior, shifted_curve, snapshot.schedule)
-    dv = tuple(expected_npv(posterior, c) - expected_npv(prior, c) for c in coeffs)
+    dv = tuple(expected_npv(posterior, c) - v for c, v in zip(coeffs, prior_values))
     dv_cds = cds_value_change(shifted_curve, snapshot.schedule,
                               snapshot.discount, ds)
     return HedgeReport(
@@ -208,9 +219,21 @@ def _format_rows(ids, counts, values):
     return (row * len(ids)) % tuple(table.ravel().tolist())
 
 
-def simulate_npv(solution, snapshot, n_paths, seed, positions=None,
-                 csv_path=None):
-    """Simulate default paths from a strong solution and price the book.
+def check_simulation(snapshot, n_paths, positions=None):
+    """The book's tranche weights (unit notional in each by default), inputs checked."""
+    if n_paths < 1:
+        raise ValueError("need at least one path")
+    n_tr = snapshot.n_tranches
+    if positions is None:
+        return np.ones(n_tr)
+    positions = np.asarray(positions, float)
+    if positions.shape != (n_tr,):
+        raise DimensionMismatch(f"{positions.shape} positions for {n_tr} tranches")
+    return positions
+
+
+def simulate_npv(law, snapshot, n_paths, seed, positions=None, csv_path=None):
+    """Simulate default paths from a generator law and price the book.
 
     Per path and chunk, in this draw order: one uniform drives the
     generator, then xi increments and eta increments build the distortion
@@ -220,27 +243,23 @@ def simulate_npv(solution, snapshot, n_paths, seed, positions=None,
     generator states, and given X the names default independently with
     P(default by T_i) = x_i, which the nested binomials reproduce date by
     date. A seed pins the full stream. ``positions`` weights the tranches
-    in the portfolio column and defaults to unit notional in each.
+    in the portfolio column. A law that misprices a quote raises ValueError.
     """
-    if n_paths < 1:
-        raise ValueError("need at least one path")
+    positions = check_simulation(snapshot, n_paths, positions)
     coeffs = coefficients_for(snapshot)
     n_tr = len(coeffs)
-    if positions is None:
-        positions = np.ones(n_tr)
-    positions = np.asarray(positions, float)
-    if positions.shape != (n_tr,):
-        raise DimensionMismatch(f"{positions.shape} positions for {n_tr} tranches")
     n = snapshot.portfolio.n
     m = snapshot.schedule.m
-    if solution.m != m:
-        raise DimensionMismatch("solution grid does not match the schedule")
-    dist = GammaDistortion.from_solution(solution)
-    dpm = qij_from_p(solution, h_matrix(n, solution.N))
+    if law.m != m:
+        raise DimensionMismatch("law grid does not match the schedule")
+    dist = GammaDistortion(GeneratorSampler(law))
+    dpm = qij_from_p(law, h_matrix(n, law.n))
     beta_mat = np.stack([c.beta for c in coeffs])
     lam_mat = np.stack([c.lam for c in coeffs])
     gamma_vec = np.array([c.gamma for c in coeffs])
     expected_tr = np.array([expected_npv(dpm, c) for c in coeffs])
+    _check_reprices(expected_tr, "law", "simulated tranche values would "
+                    "disagree with the quotes")
     expected = np.append(expected_tr, positions @ expected_tr)
 
     rng = np.random.default_rng(seed)

@@ -4,14 +4,15 @@ Strong compatibility restricts the perfect-fit question to conditionally
 i.i.d. models. At resolution N those are parametrized by a generator law
 p_{ik} on {0..N} per payment date; the default-count law it induces mixes
 Beta distributions through the h coefficients, q = p h', so tranche
-pricing stays linear in p. The question is then the weak polytope under
-the column map h instead of the identity: `StrongFeasibilityProblem`
-selects that map, and the assembly, certificate check and bound routine
-are the ones in `weak_compat`. This module supplies h and the generator
-law, computes N-dependent price ranges (the iterative verification
-algorithm walks them across a resolution sequence) and quote bounds for
-pools with a nonstandard number of names, and builds the generator sampler
-and the two-gamma-process distortion used for simulation.
+pricing stays linear in p. The generator law obeys the DPM constraints
+over N + 1 states, so it is a `DPM` whose n is N. The question is then the
+weak polytope under the column map h instead of the identity:
+`StrongFeasibilityProblem` selects that map, and the assembly, certificate
+check, `Verdict` and bound routine are the ones in `weak_compat`. This
+module supplies h, computes N-dependent price ranges (the iterative
+verification algorithm walks them across a resolution sequence) and quote
+bounds for pools with a nonstandard number of names, and builds the
+generator sampler and the two-gamma-process distortion used for simulation.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import betaln, gammaln
 
-from .dpm_core import DPM, InvalidSolution, tail_sums, validate_dpm
+from .dpm_core import DPM, AugmentedDPM, InvalidDPM
 from .market_model import PortfolioSpec
-from .opt_backend import SolveStatus, SolverError
+from .opt_backend import SolverError
 from .tranche_valuation import DimensionMismatch, beta_coeffs
-from .weak_compat import (InfeasibleRegion, _assemble, _bounds, _Polytope,
-                          _target, _verify)
+from .weak_compat import (InfeasibleRegion, Verdict, _assemble, _bounds,
+                          _Polytope, _target, _verify)
 
 DEFAULT_N_SEQUENCE = (50, 75, 100, 125, 150, 175, 200)
 DEFAULT_EPS_SPREAD = 1e-6    # 0.01 bp, on decimals per year
@@ -71,38 +72,11 @@ def h_matrix(n, N):
     return HCoefficients(h, n, N)
 
 
-@dataclass(frozen=True)
-class StrongSolution:
-    """Generator law p_{ik} = P(phi(F(T_i)) = k) at resolution N."""
-
-    p: np.ndarray
-    N: int
-
-    def __post_init__(self):
-        p = np.asarray(self.p, float)
-        if p.ndim != 2 or p.shape[1] != self.N + 1:
-            raise DimensionMismatch(f"matrix {p.shape} does not match N = {self.N}")
-        report = validate_dpm(p)
-        if not report.valid:
-            raise InvalidSolution(f"generator law fails DPM constraints: {report}")
-        p = np.clip(p, 0.0, None)
-        p.setflags(write=False)
-        object.__setattr__(self, "p", p)
-
-    @property
-    def m(self):
-        return self.p.shape[0]
-
-    def tail_sums(self):
-        return tail_sums(self.p)
-
-
-def qij_from_p(solution, h):
-    """Mix the generator law through h: q_{ij} = sum_k h_{jk} p_{ik}."""
-    if h.N != solution.N or h.h.shape[1] != solution.p.shape[1]:
-        raise DimensionMismatch(
-            f"h resolution {h.N} vs solution resolution {solution.N}")
-    return DPM(solution.p @ h.h.T)
+def qij_from_p(law, h):
+    """Mix the generator law p = law.q through h: q_{ij} = sum_k h_{jk} p_{ik}."""
+    if h.N != law.n:
+        raise DimensionMismatch(f"h resolution {h.N} vs law resolution {law.n}")
+    return DPM(law.q @ h.h.T)
 
 
 class StrongFeasibilityProblem(_Polytope):
@@ -115,33 +89,17 @@ class StrongFeasibilityProblem(_Polytope):
         return _assemble(cls, snapshot, h_matrix(snapshot.portfolio.n, N),
                          priced, bid_ask)
 
-    def _law(self, x):
-        """The generator-law certificate and the DPM it mixes into."""
-        solution = StrongSolution(x, self.h.N)
-        return solution, qij_from_p(solution, self.h)
-
-
-@dataclass
-class StrongResult:
-    status: SolveStatus
-    solution: StrongSolution | None
-    certificate: str
-
-    @property
-    def feasible(self):
-        return self.status is SolveStatus.FEASIBLE
-
 
 def verify_strong_at_N(snapshot, N):
     """Decide resolution-N strong compatibility; Feasible carries the generator law."""
     problem = StrongFeasibilityProblem.from_snapshot(snapshot, N)
-    return StrongResult(*_verify(snapshot, problem, bid_ask=False))
+    return Verdict(*_verify(snapshot, problem, bid_ask=False))
 
 
 def verify_strong_bid_ask(snapshot, N):
     """Strong compatibility against two-sided quotes at resolution N."""
     problem = StrongFeasibilityProblem.from_snapshot(snapshot, N, bid_ask=True)
-    return StrongResult(*_verify(snapshot, problem, bid_ask=True))
+    return Verdict(*_verify(snapshot, problem, bid_ask=True))
 
 
 def range_at_N(snapshot, fixed, target, N):
@@ -171,7 +129,7 @@ class IterativeResult:
     """Outcome of the resolution-sequence verification walk."""
 
     compatible: bool
-    solution: StrongSolution | None
+    law: DPM | None
     final_N: int | None
     failing_tranche: int | None
     history: list = field(default_factory=list)
@@ -228,7 +186,7 @@ def iterative_verify(snapshot, N_sequence=DEFAULT_N_SEQUENCE,
     for N in [max(n_used)] + [N for N in N_sequence if N > max(n_used)]:
         res = verify_strong_at_N(snapshot, N)
         if res.feasible:
-            return IterativeResult(True, res.solution, N, None, history)
+            return IterativeResult(True, res.law, N, None, history)
     raise IterationLimit("per-tranche ranges accepted every quote but no joint "
                          "solve in the sequence was feasible")
 
@@ -252,36 +210,29 @@ def nonstandard_names_bounds(snapshot, N, n_names, attach, detach, quote_kind,
 # The generator sampler and the gamma distortion.
 
 class GeneratorSampler:
-    """Samples generator paths from a StrongSolution via one uniform per path.
+    """Samples generator paths from a generator law via one uniform per path.
 
     The common uniform is compared against each row's tail sums, which makes
     every path non-decreasing and gives phi(F(T_i)) the law p_i row by row,
-    with the exact boundary values phi(F(T_0)) = 0 and phi(F(T_{m+1})) = N.
+    with the exact boundary values phi(F(T_0)) = 0 and phi(F(T_{m+1})) = N
+    (the boundary rows of the law's `AugmentedDPM`).
     """
 
-    def __init__(self, solution):
-        if not isinstance(solution, StrongSolution):
-            raise InvalidSolution("need a StrongSolution")
-        self.N = solution.N
-        p = solution.p
-        boundary_top = np.zeros((1, self.N + 1))
-        boundary_top[0, 0] = 1.0
-        boundary_bot = np.zeros((1, self.N + 1))
-        boundary_bot[0, self.N] = 1.0
-        aug = np.vstack([boundary_top, p, boundary_bot])
+    def __init__(self, law):
+        self.N, self.m = law.n, law.m
+        aug = AugmentedDPM.from_dpm(law).rows
         # reversed tail sums, one row per grid date, made non-decreasing
         # along each row and down the dates: rounding (or a law within
         # MONOTONE_TOL of monotone) must not let a path step down
         rev = np.maximum.accumulate(aug[:, ::-1].cumsum(axis=1), axis=1)
         rev = np.maximum.accumulate(rev, axis=0)
         self._rev_tails = np.ascontiguousarray(rev)
-        self.m = solution.m
 
     def sample_matrix(self, u):
         """phi values for an array of uniforms, shape (len(u), m+2)."""
         u = np.atleast_1d(np.asarray(u, float))
         if np.any((u <= 0.0) | (u >= 1.0)):
-            raise InvalidSolution("uniform draws must lie strictly inside (0, 1)")
+            raise InvalidDPM("uniform draws must lie strictly inside (0, 1)")
         out = np.empty((len(u), self.m + 2), dtype=np.int64)
         for i in range(self.m + 2):
             out[:, i] = self.N - np.searchsorted(self._rev_tails[i, :-1], u,
@@ -301,14 +252,6 @@ class GammaDistortion:
 
     sampler: GeneratorSampler
 
-    @property
-    def N(self):
-        return self.sampler.N
-
-    @classmethod
-    def from_solution(cls, solution):
-        return cls(GeneratorSampler(solution))
-
     def sample(self, rng, size):
         """Draw ``size`` paths: returns ``(phi, x)``, both of shape (size, m+2).
 
@@ -321,7 +264,7 @@ class GammaDistortion:
         order (``standard_gamma(0)`` is 0). The pair has the law of the full
         processes read at those states, from m draws each instead of N.
         """
-        N = self.N
+        N = self.sampler.N
         u = rng.uniform(size=size)
         phi = self.sampler.sample_matrix(u)
         steps = np.diff(phi, axis=1)
@@ -336,40 +279,3 @@ class GammaDistortion:
             inner == N, 1.0, xi / np.where(den == 0.0, 1.0, den)))
         return phi, x
 
-
-# StrongSolution serialization: CSV with a metadata header.
-
-def strong_to_csv(solution, sched, path, as_of=""):
-    if sched.m != solution.m:
-        raise ValueError("schedule and solution disagree on the period count")
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# N={solution.N}\n")
-        fh.write(f"# as_of={as_of}\n")
-        fh.write("time," + ",".join(f"k={k}" for k in range(solution.N + 1)) + "\n")
-        for i, t in enumerate(sched.payment_dates):
-            fh.write(f"{t:.6g}," + ",".join(f"{x:.17g}" for x in solution.p[i]) + "\n")
-
-
-def strong_from_csv(path):
-    """Read a solution written by strong_to_csv; returns (times, StrongSolution, as_of)."""
-    meta = {}
-    times, rows = [], []
-    with open(path, newline="") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].strip().partition("=")
-                meta[key.strip()] = val.strip()
-                continue
-            if line.startswith("time,"):
-                continue
-            parts = line.split(",")
-            times.append(float(parts[0]))
-            rows.append([float(x) for x in parts[1:]])
-    if "N" not in meta:
-        raise ValueError("missing N metadata header")
-    return (np.asarray(times),
-            StrongSolution(np.asarray(rows), int(meta["N"])),
-            meta.get("as_of", ""))

@@ -10,8 +10,9 @@ means ``states * F(T_i)``, non-decreasing tail sums, non-negativity, and one
 pricing row ``outer(lambda, H' beta)`` per quote, an equality at a mid quote
 or a pair of inequalities for a bid/ask band. Both questions share the rest
 too: the feasibility solve with its certificate check (repair, validate,
-reprice), and quote bounds for a tranche that is not quoted, an LP for
-up-front quotes and a linear fractional program for running spreads.
+reprice) and its `Verdict`, whose law is a `DPM` over the columns' states
+under either map, and quote bounds for a tranche that is not quoted, an LP
+for up-front quotes and a linear fractional program for running spreads.
 `WeakFeasibilityProblem` selects H = I here;
 `strong_compat.StrongFeasibilityProblem` selects H = h.
 """
@@ -24,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import opt_backend
-from .dpm_core import DPM, InvalidDPM, InvalidSolution, repair_structure
+from .dpm_core import DPM, InvalidDPM, repair_structure
 from .market_model import TrancheSpec
 from .opt_backend import (DegenerateDenominator, LinearProgram, SolveStatus,
                           SolverError)
@@ -142,18 +143,13 @@ class WeakFeasibilityProblem(_Polytope):
     def from_snapshot(cls, snapshot, bid_ask=False):
         return _assemble(cls, snapshot, None, range(snapshot.n_tranches), bid_ask)
 
-    def _law(self, x):
-        """The certificate and the DPM it prices through."""
-        dpm = DPM(x)
-        return dpm, dpm
-
 
 @dataclass
-class WeakResult:
-    """Verification outcome; ``dpm`` is the certificate when feasible."""
+class Verdict:
+    """Verification outcome; ``law`` (q, or p at resolution N) is the certificate."""
 
     status: SolveStatus
-    dpm: DPM | None
+    law: DPM | None
     certificate: str
 
     @property
@@ -176,9 +172,9 @@ def _verify(snapshot, problem, bid_ask):
     """Find a point of the polytope and check it as a certificate.
 
     Returns ``(status, law, message)``. The point is repaired, validated as
-    a law and repriced against every quote; one that fails validation or
-    misses a quote by more than FEASIBILITY_TOL is a solver failure, never
-    a verdict.
+    a law and repriced (through q = p h' under H = h) against every quote;
+    one that fails validation or misses a quote by more than FEASIBILITY_TOL
+    is a solver failure, never a verdict.
     """
     res = _relaxed_point(problem)
     if res.status is SolveStatus.INFEASIBLE:
@@ -186,8 +182,9 @@ def _verify(snapshot, problem, bid_ask):
     if res.status is not SolveStatus.FEASIBLE:
         return SolveStatus.NUMERICAL_FAILURE, None, res.message
     try:
-        law, dpm = problem._law(repair_structure(res.x.reshape(problem.m, -1)))
-    except (InvalidDPM, InvalidSolution) as exc:
+        law = DPM(repair_structure(res.x.reshape(problem.m, -1)))
+        dpm = law if problem.h is None else DPM(law.q @ problem.h.h.T)
+    except InvalidDPM as exc:
         return (SolveStatus.NUMERICAL_FAILURE, None,
                 f"solution failed validation: {exc}")
     worst = 0.0
@@ -205,13 +202,13 @@ def _verify(snapshot, problem, bid_ask):
 def verify_weak(snapshot):
     """Decide weak compatibility; a Feasible result carries a certifying DPM."""
     problem = WeakFeasibilityProblem.from_snapshot(snapshot)
-    return WeakResult(*_verify(snapshot, problem, bid_ask=False))
+    return Verdict(*_verify(snapshot, problem, bid_ask=False))
 
 
 def verify_weak_bid_ask(snapshot):
     """Weak compatibility with two-sided quotes: v(bid) >= 0 >= v(ask) per tranche."""
     problem = WeakFeasibilityProblem.from_snapshot(snapshot, bid_ask=True)
-    return WeakResult(*_verify(snapshot, problem, bid_ask=True))
+    return Verdict(*_verify(snapshot, problem, bid_ask=True))
 
 
 def _target(attach, detach, quote_kind, fixed_running):

@@ -123,12 +123,12 @@ def test_criterion_3_pool_size_bounds_match_reference_table(snapshot):
 
 
 def test_criterion_4_delta_sum_and_seniority_ordering(snapshot, weak_result):
-    report = spread_delta(snapshot, weak_result.dpm)
+    report = spread_delta(snapshot, weak_result.law)
     total = sum(report.delta)
     assert 0.97 <= total <= 1.03, f"delta sum {total:.4f}"
     per_width = [d / t.width
                  for d, t in zip(report.delta, snapshot.tranches)]
-    tail = float(weak_result.dpm.q[-1, 71:].sum())
+    tail = float(weak_result.law.q[-1, 71:].sum())
     for l in range(3):
         assert per_width[l + 1] < per_width[l], (
             "per-unit-width deltas do not strictly decrease with seniority: "
@@ -215,8 +215,8 @@ def test_criterion_6_property_suite(snapshot, curve, weak_result, strong_100):
     # the ordered-default-times construction realizes the matrix it was
     # built from: empirical count pmf consistent with it at three sigma
     # over all cells, at 1e6 draws
-    q_weak = weak_result.dpm.q
-    aug = AugmentedDPM.from_dpm(weak_result.dpm)
+    q_weak = weak_result.law.q
+    aug = AugmentedDPM.from_dpm(weak_result.law)
     dates = np.asarray(snapshot.schedule.payment_dates)
     draws = 1_000_000
     rng = np.random.default_rng(DPM_DRAW_SEED)
@@ -250,9 +250,9 @@ def test_criterion_6_property_suite(snapshot, curve, weak_result, strong_100):
     assert np.all(np.abs(bb_hat - col) <= 3.0 * bb_sigma + 1e-12)
 
     # perfect fit: both certificates reprice every quoted tranche
-    mixed = qij_from_p(strong_100.solution, h_matrix(125, 100))
+    mixed = qij_from_p(strong_100.law, h_matrix(125, 100))
     for coeffs in coefficients_for(snapshot):
-        assert abs(expected_npv(weak_result.dpm, coeffs)) < 1e-8
+        assert abs(expected_npv(weak_result.law, coeffs)) < 1e-8
         assert abs(expected_npv(mixed, coeffs)) < 1e-8
     # negative control for the ordered-default-times clause: the mixed law
     # has the weak vertex's marginals and reprices the same quotes, yet the
@@ -328,7 +328,7 @@ def test_criterion_6_property_suite(snapshot, curve, weak_result, strong_100):
 
     # end-to-end simulation at 1e6 paths: mean NPVs, the loss cascade, and
     # last the count pmf against the mixed law
-    summary = simulate_npv(strong_100.solution, snapshot, 1_000_000,
+    summary = simulate_npv(strong_100.law, snapshot, 1_000_000,
                            seed=SIMULATION_SEED)
     assert np.all(np.abs(summary.t_stat) < 4.0)
     betas = [c.beta for c in coefficients_for(snapshot)]
@@ -346,7 +346,7 @@ def test_criterion_6_property_suite(snapshot, curve, weak_result, strong_100):
         f"p-value {p_min:.3g}")
     # negative control: the N=50 certificate has the same marginals and
     # reprices the same quotes, yet its law is rejected by the same check
-    mixed_50 = qij_from_p(verify_strong_at_N(snapshot, 50).solution,
+    mixed_50 = qij_from_p(verify_strong_at_N(snapshot, 50).law,
                           h_matrix(125, 50))
     assert np.max(np.abs((mixed_50.q - mixed.q) @ defaults)) < 1e-8
     for coeffs in coefficients_for(snapshot):
@@ -358,16 +358,16 @@ def test_criterion_6_property_suite(snapshot, curve, weak_result, strong_100):
 def test_criterion_7_fixed_seeds_and_stable_verdicts(snapshot, strong_100,
                                                      tmp_path):
     a, b, c = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
-    simulate_npv(strong_100.solution, snapshot, 20_000, seed=123, csv_path=a)
-    simulate_npv(strong_100.solution, snapshot, 20_000, seed=123, csv_path=b)
-    simulate_npv(strong_100.solution, snapshot, 20_000, seed=321, csv_path=c)
+    simulate_npv(strong_100.law, snapshot, 20_000, seed=123, csv_path=a)
+    simulate_npv(strong_100.law, snapshot, 20_000, seed=123, csv_path=b)
+    simulate_npv(strong_100.law, snapshot, 20_000, seed=321, csv_path=c)
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() != c.read_bytes()
 
     first, second = verify_weak(snapshot), verify_weak(snapshot)
     assert first.status == second.status
-    np.testing.assert_array_equal(first.dpm.q, second.dpm.q)
+    np.testing.assert_array_equal(first.law.q, second.law.q)
     s1 = verify_strong_at_N(snapshot, 100)
     s2 = verify_strong_at_N(snapshot, 100)
     assert s1.status == s2.status
-    np.testing.assert_array_equal(s1.solution.p, s2.solution.p)
+    np.testing.assert_array_equal(s1.law.q, s2.law.q)

@@ -11,7 +11,6 @@ from cdo_compat import opt_backend
 from cdo_compat.cli import main
 from cdo_compat.dpm_core import dpm_from_csv, validate_dpm
 from cdo_compat.market_model import snapshot_to_dict
-from cdo_compat.strong_compat import strong_from_csv
 
 from conftest import SNAPSHOT_PATH
 
@@ -108,8 +107,8 @@ def test_verify_strong_single_resolution(runner, tmp_path):
     payload = json.loads(res.output)
     assert payload["compatible"] is True
     assert payload["resolution"] == 50
-    _, solution, _ = strong_from_csv(out)
-    assert solution.N == 50
+    _, law = dpm_from_csv(out)
+    assert law.n == 50
 
 
 def test_verify_strong_iterative_walk(runner):
@@ -284,6 +283,42 @@ def test_hedge_rejects_a_bump_without_a_response(runner, shift):
     assert res.exit_code == 2
     assert "error: spread bump must be finite and non-zero" in res.output
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("argv", [
+    ["hedge", "--shift-bps", "0"],
+    ["hedge", "--shift-bps", "nan"],
+    ["simulate", "--resolution", "50", "--paths", "0"],
+    ["simulate", "--resolution", "50", "--positions", "1,2"],
+])
+def test_input_errors_are_reported_before_any_verdict(runner, snapshot,
+                                                      tmp_path, argv):
+    # on the torn snapshot a solve would end in "no hedge" / "no simulation"
+    res = runner.invoke(main, argv[:1] + ["-i", _torn_path(snapshot, tmp_path)]
+                        + argv[1:])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error:")
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("far, law_argv, misprice", [
+    # the fixture's N=50 law on the 12-100% tranche quoted at 300 bp
+    (True, ["verify-strong", "--resolution", "50"], "1.117e-01"),
+    # the weak certificate, read as a generator law at N = 125
+    (False, ["verify-weak"], "4.549e-04"),
+], ids=["n50-law-on-far", "weak-certificate"])
+def test_simulate_refuses_a_stored_law_that_misprices_a_quote(
+        runner, snapshot, tmp_path, far, law_argv, misprice):
+    law = tmp_path / "law.csv"
+    res = runner.invoke(main, law_argv[:1] + ["-i", SNAPSHOT_PATH, "--out",
+                                              str(law)] + law_argv[1:])
+    assert res.exit_code == 0
+    path = _far_path(snapshot, tmp_path) if far else SNAPSHOT_PATH
+    res = runner.invoke(main, ["simulate", "-i", path, "--solution", str(law),
+                               "--paths", "100"])
+    assert res.exit_code == 2
+    assert res.stderr.startswith(
+        f"error: law misprices a quoted tranche by {misprice}")
 
 
 def test_simulate_writes_sample_paths(runner, tmp_path):

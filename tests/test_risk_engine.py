@@ -16,8 +16,8 @@ from cdo_compat.tranche_valuation import DimensionMismatch
 
 
 def test_posterior_is_the_prior_when_nothing_moves(snapshot, curve, weak_result):
-    post, _ = posterior_dpm(weak_result.dpm, curve, snapshot.schedule)
-    assert np.max(np.abs(post.q - weak_result.dpm.q)) < 1e-6
+    post, _ = posterior_dpm(weak_result.law, curve, snapshot.schedule)
+    assert np.max(np.abs(post.q - weak_result.law.q)) < 1e-6
 
 
 def test_posterior_marginals_track_the_bumped_curve(snapshot, weak_result):
@@ -27,7 +27,7 @@ def test_posterior_marginals_track_the_bumped_curve(snapshot, weak_result):
         bumped = calibrate_hazard(snapshot.index_spread + shift,
                                   snapshot.schedule, snapshot.discount,
                                   snapshot.portfolio.recovery)
-        post, solver = posterior_dpm(weak_result.dpm, bumped, snapshot.schedule)
+        post, solver = posterior_dpm(weak_result.law, bumped, snapshot.schedule)
         np.testing.assert_allclose(post.means(),
                                    125 * bumped.grid(snapshot.schedule),
                                    atol=1e-7)
@@ -36,7 +36,7 @@ def test_posterior_marginals_track_the_bumped_curve(snapshot, weak_result):
 
 
 def test_hedge_report_values_and_schema(snapshot, weak_result):
-    report = spread_delta(snapshot, weak_result.dpm)
+    report = spread_delta(snapshot, weak_result.law)
     assert report.dv_cds > 0.0
     assert all(d > 0.0 for d in report.delta)
     assert 0.9 < sum(report.delta) < 1.1
@@ -55,7 +55,7 @@ def test_hedge_rejects_a_mispriced_prior(snapshot):
 
 
 def test_simulation_summary_is_internally_consistent(snapshot, strong_100):
-    summary = simulate_npv(strong_100.solution, snapshot, 4000, seed=9)
+    summary = simulate_npv(strong_100.law, snapshot, 4000, seed=9)
     assert summary.n_paths == 4000
     assert summary.labels[-1] == "portfolio"
     assert len(summary.labels) == 5
@@ -72,22 +72,22 @@ def test_simulation_summary_is_internally_consistent(snapshot, strong_100):
 def test_fixed_seed_reproduces_identical_sample_files(snapshot, strong_100,
                                                       tmp_path):
     a, b, c = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
-    simulate_npv(strong_100.solution, snapshot, 2000, seed=123, csv_path=a)
-    simulate_npv(strong_100.solution, snapshot, 2000, seed=123, csv_path=b)
-    simulate_npv(strong_100.solution, snapshot, 2000, seed=124, csv_path=c)
+    simulate_npv(strong_100.law, snapshot, 2000, seed=123, csv_path=a)
+    simulate_npv(strong_100.law, snapshot, 2000, seed=123, csv_path=b)
+    simulate_npv(strong_100.law, snapshot, 2000, seed=124, csv_path=c)
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() != c.read_bytes()
 
 
 def test_simulation_rejects_misshaped_positions(snapshot, strong_100):
     with pytest.raises(DimensionMismatch):
-        simulate_npv(strong_100.solution, snapshot, 100, seed=0,
+        simulate_npv(strong_100.law, snapshot, 100, seed=0,
                      positions=[1.0, 2.0])
 
 
 def test_sample_file_round_trips(snapshot, strong_100, tmp_path):
     target = tmp_path / "paths.csv"
-    summary = simulate_npv(strong_100.solution, snapshot, 1500, seed=4,
+    summary = simulate_npv(strong_100.law, snapshot, 1500, seed=4,
                            csv_path=target)
     ids, counts, values = read_samples(target)
     np.testing.assert_array_equal(ids, np.arange(1500))
@@ -101,7 +101,7 @@ def test_sample_file_round_trips(snapshot, strong_100, tmp_path):
 
 def test_portfolio_column_weights_the_positions(snapshot, strong_100, tmp_path):
     target = tmp_path / "weighted.csv"
-    simulate_npv(strong_100.solution, snapshot, 400, seed=11,
+    simulate_npv(strong_100.law, snapshot, 400, seed=11,
                  positions=[2.0, 0.0, 0.0, 0.0], csv_path=target)
     _, _, values = read_samples(target)
     np.testing.assert_allclose(values[:, 4], 2.0 * values[:, 0],

@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from cdo_compat.dpm_core import validate_dpm
+from cdo_compat.dpm_core import (DPM, InvalidDPM, dpm_from_csv, dpm_to_csv,
+                                 validate_dpm)
 from cdo_compat.market_model import snapshot_from_dict, snapshot_to_dict
 from cdo_compat.opt_backend import FEASIBILITY_TOL
 from cdo_compat.strong_compat import (GammaDistortion, GeneratorSampler,
-                                      IterationLimit, InvalidSolution,
-                                      StrongSolution, h_matrix,
+                                      IterationLimit, h_matrix,
                                       iterative_verify,
                                       nonstandard_names_bounds, qij_from_p,
-                                      range_at_N, strong_from_csv,
-                                      strong_to_csv, verify_strong_at_N,
+                                      range_at_N, verify_strong_at_N,
                                       verify_strong_bid_ask)
 from cdo_compat.tranche_valuation import (DimensionMismatch,
                                           TrancheCoefficients,
@@ -26,10 +25,10 @@ QUOTES = {0: (0.28438, "upfront"), 1: (0.04531, "upfront"),
           2: (106.32e-4, "spread"), 3: (27.44e-4, "spread")}
 
 
-def _toy_solution():
+def _toy_law():
     p = np.array([[0.5, 0.3, 0.2, 0.0, 0.0],
                   [0.3, 0.3, 0.2, 0.1, 0.1]])
-    return StrongSolution(p, 4)
+    return DPM(p)
 
 
 def test_h_identities_hold_across_sizes():
@@ -56,39 +55,32 @@ def test_h_matrix_is_cached_and_write_protected():
 
 
 def test_mixing_yields_a_valid_dpm_with_scaled_means():
-    sol = _toy_solution()
+    sol = _toy_law()
     dpm = qij_from_p(sol, h_matrix(3, 4))
     assert validate_dpm(dpm.q).valid
-    p_means = sol.p @ np.arange(5)
+    p_means = sol.q @ np.arange(5)
     np.testing.assert_allclose(dpm.means(), 3.0 / 4.0 * p_means, atol=1e-12)
 
 
 def test_mixing_rejects_mismatched_resolution():
     with pytest.raises(DimensionMismatch):
-        qij_from_p(_toy_solution(), h_matrix(3, 5))
-
-
-def test_solution_validation_rejects_bad_rows():
-    with pytest.raises(InvalidSolution):
-        StrongSolution(np.array([[0.5, 0.4], [0.5, 0.5]]), 1)  # rows not 1
-    with pytest.raises(InvalidSolution):
-        StrongSolution(np.array([[0.4, 0.6], [0.7, 0.3]]), 1)  # tails decrease
+        qij_from_p(_toy_law(), h_matrix(3, 5))
 
 
 def test_snapshot_is_strongly_compatible_at_50(snapshot):
     res = verify_strong_at_N(snapshot, 50)
     assert res.feasible
-    assert res.solution.N == 50
+    assert res.law.n == 50
 
 
 def test_strong_solution_reprices_through_mixing(snapshot, strong_100):
-    dpm = qij_from_p(strong_100.solution, h_matrix(125, 100))
+    dpm = qij_from_p(strong_100.law, h_matrix(125, 100))
     for coeffs in coefficients_for(snapshot):
         assert abs(expected_npv(dpm, coeffs)) < 1e-8
 
 
 def test_strong_certificate_satisfies_weak_constraints(snapshot, strong_100):
-    dpm = qij_from_p(strong_100.solution, h_matrix(125, 100))
+    dpm = qij_from_p(strong_100.law, h_matrix(125, 100))
     problem = WeakFeasibilityProblem.from_snapshot(snapshot)
     x = dpm.q.ravel()
     assert np.max(problem.A_ub @ x - problem.b_ub) <= 1e-9
@@ -117,7 +109,7 @@ def test_iterative_verification_accepts_the_market(snapshot):
     assert res.compatible
     assert res.failing_tranche is None
     assert res.final_N in (50, 75, 100, 125, 150, 175, 200)
-    assert res.solution.N == res.final_N
+    assert res.law.n == res.final_N
     assert res.history
     for rec in res.history:
         assert rec.lower <= rec.upper + 1e-12
@@ -139,8 +131,8 @@ def test_strong_bid_ask_band_around_quotes_is_feasible_at_50(snapshot):
     banded = _banded(snapshot, BANDS)
     res = verify_strong_bid_ask(banded, 50)
     assert res.feasible
-    assert res.solution.N == 50
-    dpm = qij_from_p(res.solution, h_matrix(125, 50))
+    assert res.law.n == 50
+    dpm = qij_from_p(res.law, h_matrix(125, 50))
     for l, tr in enumerate(banded.tranches):
         cb = TrancheCoefficients.build(tr, banded.bid.upfront[l],
                                        banded.bid.spread[l], banded)
@@ -168,7 +160,7 @@ def test_iterative_verification_pins_down_the_failing_tranche(snapshot):
     res = iterative_verify(_torn(snapshot), N_sequence=(50, 75))
     assert not res.compatible
     assert res.failing_tranche == 1
-    assert res.solution is None
+    assert res.law is None
 
 
 def test_short_sequence_cannot_stabilize(snapshot):
@@ -195,7 +187,7 @@ def test_nonstandard_names_bounds_reject_unknown_kind(snapshot):
 
 
 def test_sampler_hits_the_boundary_states_exactly():
-    sampler = GeneratorSampler(_toy_solution())
+    sampler = GeneratorSampler(_toy_law())
     u = np.linspace(0.01, 0.99, 200)
     phi = sampler.sample_matrix(u)
     assert np.all(phi[:, 0] == 0)
@@ -204,7 +196,7 @@ def test_sampler_hits_the_boundary_states_exactly():
 
 
 def test_sampler_reproduces_the_grid_law():
-    sol = _toy_solution()
+    sol = _toy_law()
     sampler = GeneratorSampler(sol)
     rng = np.random.default_rng(1347)
     draws = 40000
@@ -212,16 +204,16 @@ def test_sampler_reproduces_the_grid_law():
     for i in range(2):
         counts = np.bincount(phi[:, i + 1], minlength=5)
         for k in range(5):
-            p = sol.p[i, k]
+            p = sol.q[i, k]
             sigma = np.sqrt(max(p * (1 - p) / draws, 1e-12))
             assert abs(counts[k] / draws - p) < 4 * sigma + 1e-9
 
 
 def test_sampler_rejects_boundary_uniforms():
-    sampler = GeneratorSampler(_toy_solution())
-    with pytest.raises(InvalidSolution):
+    sampler = GeneratorSampler(_toy_law())
+    with pytest.raises(InvalidDPM):
         sampler.sample_matrix(np.array([0.0, 0.5]))
-    with pytest.raises(InvalidSolution):
+    with pytest.raises(InvalidDPM):
         sampler.sample_matrix(1.0)
 
 
@@ -244,7 +236,7 @@ def test_distortion_matches_the_beta_mean():
 
 
 def test_gamma_distortion_samples_are_monotone_with_exact_endpoints():
-    dist = GammaDistortion.from_solution(_toy_solution())
+    dist = GammaDistortion(GeneratorSampler(_toy_law()))
     rng = np.random.default_rng(77)
     phi, x = dist.sample(rng, 500)
     assert phi.shape == x.shape == (500, 4)
@@ -260,7 +252,7 @@ def test_distortion_matches_the_full_path_construction():
     N, k1, k2, draws = 12, 4, 9, 20000
     p = np.zeros((2, N + 1))
     p[0, k1] = p[1, k2] = 1.0
-    _, x = GammaDistortion.from_solution(StrongSolution(p, N)).sample(
+    _, x = GammaDistortion(GeneratorSampler(DPM(p))).sample(
         np.random.default_rng(2024), draws)
     ref = _full_path_distortion(np.random.default_rng(4202), draws, N,
                                 (k1, k2))
@@ -283,7 +275,7 @@ def test_sampler_paths_stay_monotone_within_the_tail_tolerance():
     # MONOTONE_TOL admits; a uniform in that sliver must not step down
     p = np.array([[0.5 - 5e-10, 0.5 + 5e-10, 0.0],
                   [0.5, 0.0, 0.5]])
-    sampler = GeneratorSampler(StrongSolution(p, 2))
+    sampler = GeneratorSampler(DPM(p))
     phi = sampler.sample_matrix(np.array([0.5 + 2.5e-10, 0.25, 0.75]))
     assert np.all(np.diff(phi, axis=1) >= 0)
     _, x = GammaDistortion(sampler).sample(np.random.default_rng(3), 1000)
@@ -291,19 +283,10 @@ def test_sampler_paths_stay_monotone_within_the_tail_tolerance():
 
 
 def test_solution_round_trips_through_csv(snapshot, strong_100, tmp_path):
-    target = tmp_path / "solution.csv"
-    strong_to_csv(strong_100.solution, snapshot.schedule, target,
-                  as_of=snapshot.as_of)
-    times, sol, as_of = strong_from_csv(target)
-    np.testing.assert_array_equal(sol.p, strong_100.solution.p)
-    assert sol.N == 100
-    assert as_of == snapshot.as_of
+    target = tmp_path / "law.csv"
+    dpm_to_csv(strong_100.law, snapshot.schedule, target)
+    times, law = dpm_from_csv(target)
+    np.testing.assert_array_equal(law.q, strong_100.law.q)
+    assert law.n == 100
     np.testing.assert_allclose(times, snapshot.schedule.payment_dates,
                                atol=1e-9)
-
-
-def test_csv_without_resolution_metadata_is_rejected(tmp_path):
-    target = tmp_path / "broken.csv"
-    target.write_text("time,k=0,k=1\n0.25,0.5,0.5\n")
-    with pytest.raises(ValueError):
-        strong_from_csv(target)

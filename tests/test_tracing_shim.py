@@ -30,7 +30,7 @@ from cdo_compat import (load_snapshot, range_at_N, simulate_npv,
 snap = load_snapshot(sys.argv[2])
 verify_weak(snap)
 range_at_N(snap, [0, 1, 2], 3, N=50)
-simulate_npv(verify_strong_at_N(snap, 50).solution, snap, 1000, seed=1)
+simulate_npv(verify_strong_at_N(snap, 50).law, snap, 1000, seed=1)
 print(json.dumps(tracer.metrics()))
 """
 

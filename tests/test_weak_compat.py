@@ -46,16 +46,16 @@ def _banded(snapshot, bands):
 def test_market_snapshot_is_weakly_compatible(weak_result):
     assert weak_result.feasible
     assert weak_result.status is SolveStatus.FEASIBLE
-    assert weak_result.dpm is not None
+    assert weak_result.law is not None
 
 
 def test_certificate_reprices_every_tranche(snapshot, weak_result):
     for coeffs in coefficients_for(snapshot):
-        assert abs(expected_npv(weak_result.dpm, coeffs)) < 1e-8
+        assert abs(expected_npv(weak_result.law, coeffs)) < 1e-8
 
 
 def test_certificate_matches_calibrated_marginals(snapshot, curve, weak_result):
-    means = weak_result.dpm.means()
+    means = weak_result.law.means()
     np.testing.assert_allclose(means, 125 * curve.grid(snapshot.schedule),
                                atol=1e-7)
 
@@ -64,14 +64,14 @@ def test_contradictory_quotes_are_infeasible(snapshot):
     torn = _torn_snapshot(snapshot)
     res = verify_weak(torn)
     assert res.status is SolveStatus.INFEASIBLE
-    assert not res.feasible and res.dpm is None
+    assert not res.feasible and res.law is None
 
 
 def test_verdicts_are_run_to_run_stable(snapshot):
     a = verify_weak(snapshot)
     b = verify_weak(snapshot)
     assert a.status == b.status
-    np.testing.assert_array_equal(a.dpm.q, b.dpm.q)
+    np.testing.assert_array_equal(a.law.q, b.law.q)
 
 
 def test_bid_ask_band_around_quotes_is_feasible(snapshot):
@@ -87,8 +87,8 @@ def test_bid_ask_band_around_quotes_is_feasible(snapshot):
                                        banded.bid.spread[l], banded)
         ca = TrancheCoefficients.build(tr, banded.ask.upfront[l],
                                        banded.ask.spread[l], banded)
-        assert expected_npv(res.dpm, cb) >= -1e-8
-        assert expected_npv(res.dpm, ca) <= 1e-8
+        assert expected_npv(res.law, cb) >= -1e-8
+        assert expected_npv(res.law, ca) <= 1e-8
 
 
 def test_missing_bands_raise(snapshot):
