@@ -1,8 +1,8 @@
 """Compatibility checks, bounds, hedging and simulation for CDO tranche quotes."""
 
-from .dpm_core import (DPM, AugmentedDPM, InvalidDPM, TooLargeForExact,
-                       default_times_from_dpm, dpm_from_csv, dpm_to_csv,
-                       implied_copula_value, validate_dpm)
+from .dpm_core import (DPM, AugmentedDPM, InvalidDPM, default_times_from_dpm,
+                       dpm_from_csv, dpm_to_csv, implied_copula_value,
+                       validate_dpm)
 from .market_model import (DiscountCurve, InvalidRecovery, MarginalDefaultCurve,
                            MarketSnapshot, NoRoot, PaymentSchedule,
                            PortfolioSpec, QuoteVector, TrancheSpec,
@@ -36,7 +36,7 @@ __all__ = [
     "InvalidQuotes", "InvalidRecovery", "IterationLimit", "IterativeResult",
     "MarginalDefaultCurve", "MarketSnapshot", "NoRoot", "NonMonotonePath",
     "PaymentSchedule", "PortfolioSpec", "QuoteVector", "SimulationSummary",
-    "SolveStatus", "SolverError", "TooLargeForExact", "TrancheCoefficients",
+    "SolveStatus", "SolverError", "TrancheCoefficients",
     "TrancheSpec", "Verdict", "beta_coeffs", "calibrate_hazard",
     "cds_value_change", "coefficients_for", "default_times_from_dpm",
     "dpm_from_csv", "dpm_to_csv", "expected_npv", "gamma_coeff", "h_matrix",

@@ -2,34 +2,31 @@
 
 A DPM stores P(N_{T_i} = j) for the payment-date grid. This module checks
 the linear constraints that make a matrix a legitimate default-count law
-(rows on the simplex, default counts stochastically non-decreasing),
-augments it with the t = 0 and post-maturity boundary rows, builds the
-explicit common-uniform default times that realize the matrix, and
-evaluates the exchangeable copula those times induce on the grid of
-marginal probabilities. A generator law at resolution N obeys the same
-constraints over N + 1 states, so it is a DPM whose n is N.
+(rows on the simplex, default counts stochastically non-decreasing) and
+augments it with the t = 0 and post-maturity boundary rows. One common
+uniform u gives the count path N_i(u) = #{j >= 1 : Theta_ij > u}, which has
+the law of the matrix row by row; the ordered default times and the
+exchangeable copula they induce on the grid of marginal probabilities are
+read off it. A generator law at resolution N obeys the same constraints
+over N + 1 states, so it is a DPM whose n is N, and its count paths are
+the generator states.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 NEGATIVITY_CLAMP = 1e-12
 ROW_SUM_TOL = 1e-9
 MONOTONE_TOL = 1e-9
-EXACT_PERMUTATION_CAP = 8
 
 
 class InvalidDPM(ValueError):
     """The matrix violates the default-count-law constraints."""
-
-
-class TooLargeForExact(ValueError):
-    """Exact copula evaluation enumerates n! permutations; n is too large."""
 
 
 @dataclass(frozen=True)
@@ -120,9 +117,6 @@ class DPM:
     def n(self):
         return self.q.shape[1] - 1
 
-    def tail_sums(self):
-        return tail_sums(self.q)
-
     def means(self):
         """E[N_{T_i}] per row."""
         return self.q @ np.arange(self.n + 1)
@@ -172,42 +166,51 @@ class AugmentedDPM:
     def tail_sums(self):
         return tail_sums(self.rows)
 
+    @cached_property
+    def rev_tails(self):
+        """Reversed tail sums per date, running maxima along rows and dates.
+
+        Rounding, or a matrix within MONOTONE_TOL of monotone, must not let a
+        count path step down.
+        """
+        rev = np.maximum.accumulate(self.rows[:, ::-1].cumsum(axis=1), axis=1)
+        rev = np.maximum.accumulate(rev, axis=0)
+        rev.setflags(write=False)
+        return rev
+
+    def count_paths(self, u):
+        """Count paths N_i(u) = #{j >= 1 : Theta_ij > u}, shape (len(u), m+2).
+
+        Non-decreasing, N_0 = 0 and N_{m+1} = n; N_i(u) has the law of row i.
+        """
+        u = np.atleast_1d(np.asarray(u, float))
+        if not np.all((u > 0.0) & (u < 1.0)):
+            raise InvalidDPM("uniform draws must lie strictly inside (0, 1)")
+        out = np.empty((len(u), self.m + 2), dtype=np.int64)
+        for i in range(self.m + 2):
+            out[:, i] = self.n - np.searchsorted(self.rev_tails[i, :-1], u,
+                                                 side="right")
+        return out
+
 
 def default_times_from_dpm(aug, u, sched):
     """Ordered default times realizing the matrix from one uniform draw.
 
-    For rank j, tau_j is the midpoint of the period whose tail-sum thresholds
-    Theta_{i-1,j} <= u < Theta_{i,j} bracket the draw; ranks with thresholds
-    never exceeded default in the post-maturity period. The same u drives all
-    ranks, which is what makes the count law match the matrix row by row.
+    Ranks N_{i-1}(u) + 1 .. N_i(u) of the count path (`count_paths`) default
+    at the midpoint of period i; ranks never reached before maturity default
+    in the post-maturity period. The same u drives all ranks, which is what
+    makes the count law match the matrix row by row.
 
     ``u`` may be a scalar (returns shape (n,)) or a 1-d array of draws
     (returns shape (len(u), n)). Times are non-decreasing across ranks.
     """
-    u_arr = np.atleast_1d(np.asarray(u, float))
-    if np.any((u_arr <= 0.0) | (u_arr >= 1.0)):
-        raise InvalidDPM("u must lie strictly inside (0, 1)")
-    theta = aug.tail_sums()
-    if np.any(theta[:-1, 1:] - theta[1:, 1:] > MONOTONE_TOL):
-        raise InvalidDPM("tail sums must be non-decreasing in time")
     mids = sched.midpoints  # mid_1 .. mid_{m+1}
     if len(mids) != aug.m + 1:
         raise InvalidDPM("schedule and matrix disagree on the period count")
-    n = aug.n
-    out = np.empty((len(u_arr), n))
-    for j in range(1, n + 1):
-        # first period index i >= 1 whose threshold strictly exceeds u
-        col = np.maximum.accumulate(theta[1:, j])  # guard tiny non-monotone noise
-        idx = np.searchsorted(col, u_arr, side="right")
-        out[:, j - 1] = mids[np.minimum(idx, aug.m)]
-    out = np.sort(out, axis=1)
-    return out[0] if np.isscalar(u) or np.asarray(u).ndim == 0 else out
-
-
-def _copula_from_perms(theta, y, perms):
-    """mean over permutations of min_j Theta[y_j, sigma(j)]."""
-    vals = theta[np.asarray(y)[None, :], perms]
-    return vals.min(axis=1)
+    counts = aug.count_paths(u)
+    out = np.repeat(np.tile(mids, len(counts)),
+                    np.diff(counts, axis=1).ravel()).reshape(len(counts), aug.n)
+    return out[0] if np.ndim(u) == 0 else out
 
 
 def implied_copula_value(aug, y, mode="exact", samples=100_000, seed=0,
@@ -216,10 +219,12 @@ def implied_copula_value(aug, y, mode="exact", samples=100_000, seed=0,
 
     ``y`` gives the grid indices: coordinate j of the copula argument is
     F(T_{y_j}), y_j in {0, ..., m+1}. The value averages, over permutations
-    sigma of the ranks, the smallest bracketing tail sum min_j Theta_{y_j,
-    sigma(j)}. Exact mode enumerates all n! permutations and is capped at
-    n = 8; mc mode averages over sampled permutations and can report the
-    standard error of that average.
+    sigma of the ranks, min_j Theta_{y_j, sigma(j)}: the integral over u of
+    P(sigma(j) <= c_j for all j), c_j = N_{y_j}(u), which is prod_k
+    (c_(k) - k)+ / (n - k) over the sorted c. Exact mode sums it over the
+    intervals between the rows' tail sums, where the path is constant, at
+    any n; mc mode averages over ``samples`` >= 2 sampled permutations and
+    can report the standard error of that average.
 
     Off-grid arguments are by design not accepted; the construction defines
     the copula only at the grid of marginal probabilities.
@@ -231,20 +236,20 @@ def implied_copula_value(aug, y, mode="exact", samples=100_000, seed=0,
     if np.any(y != np.round(y)) or np.any((y < 0) | (y > aug.m + 1)):
         raise ValueError("grid indices must be integers in {0..m+1}")
     y = y.astype(int)
-    theta = aug.tail_sums()
     if mode == "exact":
-        if n > EXACT_PERMUTATION_CAP:
-            raise TooLargeForExact(
-                f"exact mode enumerates {n}! permutations; cap is n = {EXACT_PERMUTATION_CAP}")
-        perms = np.array(list(itertools.permutations(range(1, n + 1))))
-        mins = _copula_from_perms(theta, y, perms)
-        value = float(mins.mean())
+        cuts = np.unique(np.clip(np.append(aug.rev_tails[y], [0.0, 1.0]), 0.0, 1.0))
+        counts = np.sort(aug.count_paths((cuts[:-1] + cuts[1:]) / 2)[:, y], axis=1)
+        k = np.arange(n)
+        prob = np.prod(np.clip(counts - k, 0, None) / (n - k), axis=1)
+        value = float(np.diff(cuts) @ prob)
         return (value, 0.0) if return_stderr else value
     if mode == "mc":
+        if samples < 2:
+            raise ValueError(f"mc mode needs at least 2 samples, got {samples}")
         rng = np.random.default_rng(seed)
         base = np.arange(1, n + 1)
         perms = rng.permuted(np.tile(base, (int(samples), 1)), axis=1)
-        mins = _copula_from_perms(theta, y, perms)
+        mins = aug.tail_sums()[y[None, :], perms].min(axis=1)
         value = float(mins.mean())
         stderr = float(mins.std(ddof=1) / np.sqrt(len(mins)))
         return (value, stderr) if return_stderr else value

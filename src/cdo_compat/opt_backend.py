@@ -172,7 +172,7 @@ def solve_lfp(c_num, d_num, c_den, d_den, A_ub=None, b_ub=None,
     x = res.x[:-1] / t
     ratio = (c_num @ x + d_num) / (c_den @ x + d_den)
     return SolveResult(SolveStatus.OPTIMAL, x, float(ratio), res.message,
-                       extra={"t": float(t), "lp_objective": res.objective})
+                       extra={"t": float(t)})
 
 
 def _entropy_dual(v, logref, A, b, n_eq):

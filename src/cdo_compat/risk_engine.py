@@ -229,6 +229,8 @@ def check_simulation(snapshot, n_paths, positions=None):
     positions = np.asarray(positions, float)
     if positions.shape != (n_tr,):
         raise DimensionMismatch(f"{positions.shape} positions for {n_tr} tranches")
+    if not np.all(np.isfinite(positions)):
+        raise ValueError(f"positions must be finite, got {positions.tolist()}")
     return positions
 
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import betaln, gammaln
 
-from .dpm_core import DPM, AugmentedDPM, InvalidDPM
+from .dpm_core import DPM, AugmentedDPM
 from .market_model import PortfolioSpec
 from .opt_backend import SolverError
 from .tranche_valuation import DimensionMismatch, beta_coeffs
@@ -212,32 +212,19 @@ def nonstandard_names_bounds(snapshot, N, n_names, attach, detach, quote_kind,
 class GeneratorSampler:
     """Samples generator paths from a generator law via one uniform per path.
 
-    The common uniform is compared against each row's tail sums, which makes
-    every path non-decreasing and gives phi(F(T_i)) the law p_i row by row,
-    with the exact boundary values phi(F(T_0)) = 0 and phi(F(T_{m+1})) = N
-    (the boundary rows of the law's `AugmentedDPM`).
+    The paths are the count paths of the law's `AugmentedDPM`: the common
+    uniform is compared against each row's tail sums, which makes every path
+    non-decreasing and gives phi(F(T_i)) the law p_i row by row, with the
+    exact boundary values phi(F(T_0)) = 0 and phi(F(T_{m+1})) = N.
     """
 
     def __init__(self, law):
-        self.N, self.m = law.n, law.m
-        aug = AugmentedDPM.from_dpm(law).rows
-        # reversed tail sums, one row per grid date, made non-decreasing
-        # along each row and down the dates: rounding (or a law within
-        # MONOTONE_TOL of monotone) must not let a path step down
-        rev = np.maximum.accumulate(aug[:, ::-1].cumsum(axis=1), axis=1)
-        rev = np.maximum.accumulate(rev, axis=0)
-        self._rev_tails = np.ascontiguousarray(rev)
+        self.N = law.n
+        self._aug = AugmentedDPM.from_dpm(law)
 
     def sample_matrix(self, u):
         """phi values for an array of uniforms, shape (len(u), m+2)."""
-        u = np.atleast_1d(np.asarray(u, float))
-        if np.any((u <= 0.0) | (u >= 1.0)):
-            raise InvalidDPM("uniform draws must lie strictly inside (0, 1)")
-        out = np.empty((len(u), self.m + 2), dtype=np.int64)
-        for i in range(self.m + 2):
-            out[:, i] = self.N - np.searchsorted(self._rev_tails[i, :-1], u,
-                                                 side="right")
-        return out
+        return self._aug.count_paths(u)
 
 
 @dataclass

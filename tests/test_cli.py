@@ -290,6 +290,7 @@ def test_hedge_rejects_a_bump_without_a_response(runner, shift):
     ["hedge", "--shift-bps", "nan"],
     ["simulate", "--resolution", "50", "--paths", "0"],
     ["simulate", "--resolution", "50", "--positions", "1,2"],
+    ["simulate", "--resolution", "50", "--positions", "nan,1,1,1,1"],
 ])
 def test_input_errors_are_reported_before_any_verdict(runner, snapshot,
                                                       tmp_path, argv):

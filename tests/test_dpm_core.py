@@ -1,16 +1,18 @@
 """Default-probability matrices, realized default times, implied copula."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdo_compat.dpm_core import (DPM, AugmentedDPM, InvalidDPM,
-                                 TooLargeForExact, default_times_from_dpm,
-                                 dpm_from_csv, dpm_to_csv,
-                                 implied_copula_value, repair_structure,
-                                 tail_sums, validate_dpm)
+                                 default_times_from_dpm, dpm_from_csv,
+                                 dpm_to_csv, implied_copula_value,
+                                 repair_structure, tail_sums, validate_dpm)
 from cdo_compat.market_model import PaymentSchedule
+from cdo_compat.strong_compat import GeneratorSampler
 
 TOY_Q = np.array([[0.6, 0.3, 0.1],
                   [0.4, 0.4, 0.2]])
@@ -118,6 +120,25 @@ def test_default_time_counts_recover_the_matrix():
         assert np.all(np.abs(pmf - TOY_Q[i]) <= 4.0 * sigma + 1e-12)
 
 
+@pytest.mark.parametrize("law", ["toy", "weak", "strong_100"])
+def test_times_and_generator_states_are_the_count_path(law, snapshot,
+                                                       weak_result, strong_100):
+    # an identity, not a statistical check: counting the times up to each
+    # date gives back the count path for every single draw
+    if law == "toy":
+        dpm, sched = DPM(TOY_Q), TOY_SCHED
+    else:
+        dpm = (weak_result if law == "weak" else strong_100).law
+        sched = snapshot.schedule
+    aug = AugmentedDPM.from_dpm(dpm)
+    u = np.random.default_rng(3).uniform(size=20_000)
+    paths = aug.count_paths(u)
+    times = default_times_from_dpm(aug, u, sched)
+    for i, t in enumerate(sched.payment_dates):
+        np.testing.assert_array_equal((times <= t).sum(axis=1), paths[:, i + 1])
+    np.testing.assert_array_equal(GeneratorSampler(dpm).sample_matrix(u), paths)
+
+
 def test_copula_single_name_is_the_marginal():
     q1 = np.array([[0.7, 0.3], [0.5, 0.5]])
     aug = AugmentedDPM.from_dpm(DPM(q1))
@@ -150,17 +171,19 @@ def test_copula_grid_and_size_validation():
         implied_copula_value(aug, [1])
     with pytest.raises(ValueError):
         implied_copula_value(aug, [1, 2], mode="quadrature")
+    for samples in (0, 1):
+        with pytest.raises(ValueError):
+            implied_copula_value(aug, [1, 2], mode="mc", samples=samples)
 
 
 def test_copula_exact_cap():
     n = 9
     row = np.full(n + 1, 1.0 / (n + 1))
     aug = AugmentedDPM.from_dpm(DPM(row[None, :]))
-    with pytest.raises(TooLargeForExact):
-        implied_copula_value(aug, [1] * n)
-    # mc mode has no cap
-    val = implied_copula_value(aug, [1] * n, mode="mc", samples=500, seed=3)
-    assert 0.0 <= val <= 1.0
+    exact = implied_copula_value(aug, [1] * n)
+    mc, stderr = implied_copula_value(aug, [1] * n, mode="mc", samples=500,
+                                      seed=3, return_stderr=True)
+    assert abs(mc - exact) <= 3.0 * stderr + 1e-12
 
 
 def test_copula_mc_matches_exact_within_three_sigma():
@@ -176,15 +199,30 @@ def test_copula_mc_matches_exact_within_three_sigma():
     assert abs(mc - exact) <= 3.0 * stderr + 1e-12
 
 
+def _valid_law(rng, m, n):
+    # sorting tail sums over time yields a valid matrix by construction
+    theta = np.sort(tail_sums(rng.dirichlet(np.ones(n + 1), size=m)), axis=0)
+    return np.hstack([theta[:, :-1] - theta[:, 1:], theta[:, -1:]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1))
+def test_copula_exact_mode_equals_the_permutation_average(seed):
+    rng = np.random.default_rng(seed)
+    m, n = rng.integers(1, 4), rng.integers(1, 7)
+    aug = AugmentedDPM.from_dpm(DPM(_valid_law(rng, m, n)))
+    y = rng.integers(0, m + 2, size=n)
+    theta = aug.tail_sums()
+    perms = np.array(list(itertools.permutations(range(1, n + 1))))
+    oracle = theta[y[None, :], perms].min(axis=1).mean()
+    assert abs(implied_copula_value(aug, y) - oracle) <= 1e-12
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_random_valid_matrices_pass_validation(seed):
     rng = np.random.default_rng(seed)
-    m, n = rng.integers(1, 6), rng.integers(1, 8)
-    raw = rng.dirichlet(np.ones(n + 1), size=m)
-    # sorting tail sums over time yields a valid matrix by construction
-    theta = np.sort(tail_sums(raw), axis=0)
-    q = np.hstack([theta[:, :-1] - theta[:, 1:], theta[:, -1:]])
+    q = _valid_law(rng, rng.integers(1, 6), rng.integers(1, 8))
     assert validate_dpm(q).valid
     DPM(q)
 
