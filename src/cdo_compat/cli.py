@@ -137,7 +137,8 @@ def _verdict(res, label, task=None, **fields):
     if task is not None:
         word += f"; no {task}"
     payload = {"compatible": res.feasible, **fields,
-               "status": res.status.value, "certificate": res.certificate}
+               "status": res.status.value, "certificate": res.certificate,
+               "slack": res.slack}
     return payload, [f"{label}: {word}", res.certificate], code
 
 

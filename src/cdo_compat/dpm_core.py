@@ -53,11 +53,11 @@ def tail_sums(q):
 def repair_structure(q):
     """Snap solver-tolerance noise onto the exact structure.
 
-    LP feasibility solves pose the equalities with a hair of slack, so a
-    returned vertex can sit a solver tolerance away from unit rows or
-    monotone tails. This projects it back: backward-min the tail sums,
-    difference, clip, renormalize. The perturbation is on the order of the
-    slack itself, far inside every validation tolerance.
+    HiGHS meets the equalities and inequalities of a returned vertex only
+    to its feasibility tolerance, so the vertex can sit that far from unit
+    rows or monotone tails. This projects it back: backward-min the tail
+    sums, difference, clip, renormalize. The perturbation is on the order
+    of that tolerance, far inside every validation tolerance.
     """
     q = np.asarray(q, float)
     theta = tail_sums(q)

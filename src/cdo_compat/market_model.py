@@ -286,7 +286,7 @@ def calibrate_hazard(index_spread, sched, disc, recovery):
     if slope != 0.0:
         mu = mu - gap(mu) / slope
     mu = max(mu, 0.0)
-    if abs(gap(mu)) >= 1e-12:
+    if not abs(gap(mu)) < 1e-12:  # NaN fails too
         raise NoRoot(f"hazard root did not converge, residual {gap(mu):.3e}")
     return MarginalDefaultCurve(mu, boundary)
 
@@ -318,13 +318,24 @@ def cds_value_change(curve_after, sched, disc, ds):
 # spreads in bps, the flat rate in percent, up-front quotes in percent of
 # tranche notional, spread quotes in bps.
 
+def _finite(doc, key, default=None):
+    """``doc[key]`` as a float (``default`` if given and the key is absent).
+
+    A NaN or infinite value raises ValueError naming the key.
+    """
+    value = float(doc[key] if default is None else doc.get(key, default))
+    if not np.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value}")
+    return value
+
+
 def snapshot_from_dict(doc):
     sched_doc = doc.get("schedule", {})
     if sched_doc.get("freq", "quarterly") != "quarterly":
         raise ValueError("only quarterly schedules are supported")
     sched = PaymentSchedule.quarterly(years=float(sched_doc.get("years", 5)))
-    disc = DiscountCurve(rate=float(doc["rate_pct"]) / 100.0)
-    port = PortfolioSpec(int(doc["n_names"]), float(doc["recovery"]))
+    disc = DiscountCurve(rate=_finite(doc, "rate_pct") / 100.0)
+    port = PortfolioSpec(int(doc["n_names"]), _finite(doc, "recovery"))
 
     tranches, ufs, sps = [], [], []
     bid_ufs, bid_sps, ask_ufs, ask_sps = [], [], [], []
@@ -332,7 +343,7 @@ def snapshot_from_dict(doc):
     for td in doc["tranches"]:
         kind = td["quote"]
         if kind == "upfront":
-            running = float(td.get("fixed_running_bps", 0.0)) / 1e4
+            running = _finite(td, "fixed_running_bps", 0.0) / 1e4
             spec = TrancheSpec(float(td["attach"]), float(td["detach"]), "upfront", running)
             scale = 1e-2
             uf_of = lambda v, s=running: (v, s)
@@ -343,14 +354,14 @@ def snapshot_from_dict(doc):
         else:
             raise ValueError(f"unknown quote kind {kind!r}")
         tranches.append(spec)
-        uf, s = uf_of(float(td["quote_value"]) * scale)
+        uf, s = uf_of(_finite(td, "quote_value") * scale)
         ufs.append(uf)
         sps.append(s)
         for key, uf_list, sp_list in (("bid_value", bid_ufs, bid_sps),
                                       ("ask_value", ask_ufs, ask_sps)):
             if key in td:
                 any_bid_ask = True
-                uf2, s2 = uf_of(float(td[key]) * scale)
+                uf2, s2 = uf_of(_finite(td, key) * scale)
                 uf_list.append(uf2)
                 sp_list.append(s2)
             else:
@@ -362,7 +373,7 @@ def snapshot_from_dict(doc):
         schedule=sched,
         discount=disc,
         portfolio=port,
-        index_spread=float(doc["index_spread_bps"]) / 1e4,
+        index_spread=_finite(doc, "index_spread_bps") / 1e4,
         tranches=tuple(tranches),
         quotes=QuoteVector(tuple(ufs), tuple(sps)),
         bid=QuoteVector(tuple(bid_ufs), tuple(bid_sps)) if any_bid_ask else None,

@@ -21,7 +21,6 @@ from scipy.sparse.linalg import splu
 
 # Centralized tolerances. Everything downstream quotes these.
 FEASIBILITY_TOL = 1e-8     # max constraint violation accepted in a returned solution
-EQUALITY_SLACK = 1e-9      # half-width used when equalities are posed as paired inequalities
 KKT_TOL = 1e-8             # residual bound for the entropy solver
 T_FLOOR = 1e-12            # Charnes-Cooper auxiliary variable lower acceptance
 T_CEILING = 1e9            # Charnes-Cooper auxiliary variable upper bound
@@ -110,19 +109,6 @@ def solve_lp(lp):
     if res.status == 3:
         return SolveResult(SolveStatus.UNBOUNDED, message=res.message)
     return SolveResult(SolveStatus.NUMERICAL_FAILURE, message=res.message)
-
-
-def relax_equalities(A_eq, b_eq, slack=EQUALITY_SLACK):
-    """Pose A_eq x = b_eq as paired inequalities with a small two-sided slack.
-
-    Feasibility solves use this to sidestep degenerate-basis failures; the
-    slack is far below every acceptance tolerance downstream.
-    """
-    A = sp.csr_matrix(A_eq)
-    b = np.asarray(b_eq, float)
-    A_ub = sp.vstack([A, -A], format="csr")
-    b_ub = np.concatenate([b + slack, -(b - slack)])
-    return A_ub, b_ub
 
 
 def solve_lfp(c_num, d_num, c_den, d_den, A_ub=None, b_ub=None,

@@ -143,11 +143,12 @@ def iterative_verify(snapshot, N_sequence=DEFAULT_N_SEQUENCE,
     For tranche l the range is computed over generator laws pricing tranches
     0..l-1 exactly. A quote inside its range advances to the next tranche; a
     quote still outside once both endpoints have stabilized (successive
-    changes below eps) proves incompatibility and reports the tranche. When
-    every tranche has been accepted, the full system is solved at the largest
-    resolution any tranche needed (escalating through the remaining sequence
-    if that single solve fails). A resolution at which no law prices the
-    tranches already accepted is skipped.
+    changes below eps) proves incompatibility and reports the tranche.
+    Tranche l-1 is accepted at the first N whose range holds its quote, so
+    no coarser N prices tranches 0..l-1, while a law at N lifts to one at
+    every larger N with the same q. So tranche l's walk starts there, and
+    the full system is solved once, at the last accepted N; an empty range
+    or a failed joint solve there is a SolverError, never a verdict.
 
     Raises IterationLimit when the sequence ends before a decision.
     """
@@ -156,39 +157,35 @@ def iterative_verify(snapshot, N_sequence=DEFAULT_N_SEQUENCE,
     if eps_spread <= 0 or eps_upfront <= 0:
         raise ValueError("stabilization tolerances must be positive")
     history = []
-    n_used = []
+    accepted = N_sequence[0]
     for l, tranche in enumerate(snapshot.tranches):
         if tranche.quote_kind == "upfront":
             quote, eps = snapshot.quotes.upfront[l], eps_upfront
         else:
             quote, eps = snapshot.quotes.spread[l], eps_spread
         prev = None
-        accepted_at = None
-        for N in N_sequence:
+        for N in (N for N in N_sequence if N >= accepted):
             try:
                 lo, hi = range_at_N(snapshot, range(l), l, N)
-            except InfeasibleRegion:
-                # no law at this N prices the tranches already accepted (one
-                # accepted at a larger N); a coarser N proves nothing here
-                continue
+            except InfeasibleRegion as exc:
+                raise SolverError(f"tranche {l} has an empty range at N={N}, "
+                                  "where the tranches before it are priced") from exc
             history.append(RangeRecord(l, N, lo, hi))
             if lo - 1e-12 <= quote <= hi + 1e-12:
-                accepted_at = N
+                accepted = N
                 break
             if prev is not None and abs(lo - prev[0]) < eps and abs(hi - prev[1]) < eps:
                 return IterativeResult(False, None, N, l, history)
             prev = (lo, hi)
-        if accepted_at is None:
+        else:
             raise IterationLimit(
                 f"resolution sequence exhausted on tranche {l} without stabilization")
-        n_used.append(accepted_at)
 
-    for N in [max(n_used)] + [N for N in N_sequence if N > max(n_used)]:
-        res = verify_strong_at_N(snapshot, N)
-        if res.feasible:
-            return IterativeResult(True, res.law, N, None, history)
-    raise IterationLimit("per-tranche ranges accepted every quote but no joint "
-                         "solve in the sequence was feasible")
+    res = verify_strong_at_N(snapshot, accepted)
+    if not res.feasible:
+        raise SolverError(f"joint solve at the accepted N={accepted}: "
+                          f"{res.status.value}: {res.certificate}")
+    return IterativeResult(True, res.law, accepted, None, history)
 
 
 def nonstandard_names_bounds(snapshot, N, n_names, attach, detach, quote_kind,

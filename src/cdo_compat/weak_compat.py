@@ -9,10 +9,12 @@ module assembles that polytope once for both maps: unit row sums, marginal
 means ``states * F(T_i)``, non-decreasing tail sums, non-negativity, and one
 pricing row ``outer(lambda, H' beta)`` per quote, an equality at a mid quote
 or a pair of inequalities for a bid/ask band. Both questions share the rest
-too: the feasibility solve with its certificate check (repair, validate,
-reprice) and its `Verdict`, whose law is a `DPM` over the columns' states
-under either map, and quote bounds for a tranche that is not quoted, an LP
-for up-front quotes and a linear fractional program for running spreads.
+too: the elastic decision LP, which gives each quote row a non-negative
+slack and minimizes their total, with its certificate check (repair,
+validate, reprice) and its `Verdict`, whose law is a `DPM` over the
+columns' states under either map; and quote bounds for a tranche that is
+not quoted, an LP for up-front quotes and a linear fractional program for
+running spreads.
 `WeakFeasibilityProblem` selects H = I here;
 `strong_compat.StrongFeasibilityProblem` selects H = h.
 """
@@ -27,8 +29,8 @@ import scipy.sparse as sp
 from . import opt_backend
 from .dpm_core import DPM, InvalidDPM, repair_structure
 from .market_model import TrancheSpec
-from .opt_backend import (DegenerateDenominator, LinearProgram, SolveStatus,
-                          SolverError)
+from .opt_backend import (DegenerateDenominator, LinearProgram, SolveResult,
+                          SolveStatus, SolverError)
 from .tranche_valuation import (TrancheCoefficients, beta_coeffs,
                                 expected_npv, gamma_coeff, lambda_coeffs)
 
@@ -102,7 +104,8 @@ class _Polytope:
 
     ``x`` holds m rows of states + 1 columns; ``h`` is None when the
     columns are the DPM itself and the h coefficients when they are a
-    generator law.
+    generator law. The last ``n_quotes`` rows of A_ub (``bands``) or of
+    A_eq (mid quotes) are the quote rows.
     """
 
     A_eq: object
@@ -111,6 +114,8 @@ class _Polytope:
     b_ub: np.ndarray
     m: int
     h: object
+    n_quotes: int
+    bands: bool
 
 
 def _assemble(cls, snapshot, h, priced, bid_ask):
@@ -122,7 +127,8 @@ def _assemble(cls, snapshot, h, priced, bid_ask):
     A_mono, b_mono = monotonicity_block(m, states)
     eq_rows, eq_rhs = [A_marg], [b_marg]
     ub_rows, ub_rhs = [A_mono], [b_mono]
-    for coeffs, side in _quote_constraints(snapshot, priced, bid_ask):
+    constraints = _quote_constraints(snapshot, priced, bid_ask)
+    for coeffs, side in constraints:
         loss = coeffs.beta if h is None else h.h.T @ coeffs.beta
         row = np.outer(coeffs.lam, loss).ravel()
         if side == 0:
@@ -133,7 +139,7 @@ def _assemble(cls, snapshot, h, priced, bid_ask):
             ub_rhs.append(np.array([side * coeffs.gamma]))
     return cls(A_eq=sp.vstack(eq_rows, format="csr"), b_eq=np.concatenate(eq_rhs),
                A_ub=sp.vstack(ub_rows, format="csr"), b_ub=np.concatenate(ub_rhs),
-               m=m, h=h)
+               m=m, h=h, n_quotes=len(constraints), bands=bid_ask)
 
 
 class WeakFeasibilityProblem(_Polytope):
@@ -146,57 +152,110 @@ class WeakFeasibilityProblem(_Polytope):
 
 @dataclass
 class Verdict:
-    """Verification outcome; ``law`` (q, or p at resolution N) is the certificate."""
+    """Verification outcome; ``law`` (q, or p at resolution N) is the certificate.
+
+    ``slack`` holds, per quote constraint in `_quote_constraints` order, the
+    seller value v that the elastic LP leaves it with: 0 where the quote is
+    met, positive where the quote is too low and negative where it is too
+    high. It is None when no verdict was reached (numerical failure).
+    """
 
     status: SolveStatus
     law: DPM | None
     certificate: str
+    slack: list | None
 
     @property
     def feasible(self):
         return self.status is SolveStatus.FEASIBLE
 
 
-def _relaxed_point(problem):
-    """Find a point with each equality relaxed by EQUALITY_SLACK either way.
+def _elastic(problem):
+    """The polytope with a non-negative slack on each quote row.
 
-    The relaxed set contains the polytope, so INFEASIBLE proves it empty.
+    Marginal and monotonicity rows stay exact; a mid-quote row gets one
+    slack per sign (v = s_up - s_down), a band row one on its own side
+    (side * v <= s). The objective is the total slack in value units, so
+    the LP is always feasible and bounded below (Chinneck's elastic
+    filter). Returns the decision, INFEASIBLE when a row needs more than
+    FEASIBILITY_TOL of slack, and the rows' slacks (None if the solve failed).
     """
-    A_rel, b_rel = opt_backend.relax_equalities(problem.A_eq, problem.b_eq)
-    return opt_backend.solve_lp(LinearProgram(
-        A_ub=sp.vstack([problem.A_ub, A_rel], format="csr"),
-        b_ub=np.concatenate([problem.b_ub, b_rel]), bounds=(0, None)))
+    k, n = problem.n_quotes, problem.A_eq.shape[1]
+    signs = (1.0,) if problem.bands else (1.0, -1.0)
+    quoted, other = ((problem.A_ub, problem.A_eq) if problem.bands
+                     else (problem.A_eq, problem.A_ub))
+    own = sp.vstack([sp.csr_matrix((quoted.shape[0] - k, k)), sp.identity(k)])
+    cols = sp.hstack([-sign * own for sign in signs])
+    none = sp.csr_matrix((other.shape[0], cols.shape[1]))
+    ub, eq = (cols, none) if problem.bands else (none, cols)
+    res = opt_backend.solve_lp(LinearProgram(
+        c=np.concatenate([np.zeros(n), np.ones(cols.shape[1])]),
+        A_ub=sp.hstack([problem.A_ub, ub], format="csr"), b_ub=problem.b_ub,
+        A_eq=sp.hstack([problem.A_eq, eq], format="csr"), b_eq=problem.b_eq,
+        bounds=(0, None)))
+    if res.status is not SolveStatus.OPTIMAL:
+        return SolveResult(SolveStatus.NUMERICAL_FAILURE, message=res.message), None
+    slack = np.asarray(signs) @ res.x[n:].reshape(len(signs), k)
+    if np.max(np.abs(slack), initial=0.0) > opt_backend.FEASIBILITY_TOL:
+        return SolveResult(SolveStatus.INFEASIBLE, message=(
+            f"no law prices every quote: total slack {np.abs(slack).sum():.3e}")), slack
+    return SolveResult(SolveStatus.FEASIBLE, res.x[:n], message=res.message), slack
+
+
+def _largest_slack(snapshot, slack, bid_ask):
+    """The quote constraint with the largest slack, in its quote's units.
+
+    Up-front quotes move gamma by the width per unit, so the slack over the
+    width is exact. A spread moves gamma by width * sum_i D(T_i) dT_i, the
+    riskless annuity, but v by the smaller risky one, so the bp figure is a
+    lower bound.
+    """
+    i = int(np.argmax(np.abs(slack)))
+    l, side = (i // 2, ("bid", "ask")[i % 2]) if bid_ask else (i, "quote")
+    tranche, v = snapshot.tranches[l], slack[i]
+    upfront = tranche.quote_kind == "upfront"
+    unit = gamma_coeff(tranche, float(upfront), float(not upfront),
+                       snapshot.schedule, snapshot.discount)
+    size = (f"{abs(v) / unit * 100:.4f} pct of width" if upfront else
+            f"at least {abs(v) / unit * 1e4:.4f} bp (over the riskless annuity)")
+    return (f"largest slack: tranche {tranche.label} {side} too "
+            f"{'low' if v > 0 else 'high'} by {size}")
 
 
 def _verify(snapshot, problem, bid_ask):
-    """Find a point of the polytope and check it as a certificate.
+    """Decide with the elastic LP and check its point as a certificate.
 
-    Returns ``(status, law, message)``. The point is repaired, validated as
-    a law and repriced (through q = p h' under H = h) against every quote;
-    one that fails validation or misses a quote by more than FEASIBILITY_TOL
-    is a solver failure, never a verdict.
+    Returns ``(status, law, message, slack)``, see `Verdict`. The point is
+    repaired, validated as a law and repriced (through q = p h' under H = h)
+    against every quote; one that fails validation or misses a quote by more
+    than FEASIBILITY_TOL is a solver failure, never a verdict.
     """
-    res = _relaxed_point(problem)
+    res, slack = _elastic(problem)
+    constraints = _quote_constraints(snapshot, range(snapshot.n_tranches), bid_ask)
+    if slack is not None:  # + 0.0 turns a bid row's -0.0 into 0.0
+        slack = [float(s) * (side or 1) + 0.0
+                 for s, (_, side) in zip(slack, constraints)]
     if res.status is SolveStatus.INFEASIBLE:
-        return SolveStatus.INFEASIBLE, None, res.message
+        return (SolveStatus.INFEASIBLE, None,
+                f"{res.message}; {_largest_slack(snapshot, slack, bid_ask)}", slack)
     if res.status is not SolveStatus.FEASIBLE:
-        return SolveStatus.NUMERICAL_FAILURE, None, res.message
+        return SolveStatus.NUMERICAL_FAILURE, None, res.message, None
     try:
         law = DPM(repair_structure(res.x.reshape(problem.m, -1)))
         dpm = law if problem.h is None else DPM(law.q @ problem.h.h.T)
     except InvalidDPM as exc:
         return (SolveStatus.NUMERICAL_FAILURE, None,
-                f"solution failed validation: {exc}")
+                f"solution failed validation: {exc}", None)
     worst = 0.0
-    for coeffs, side in _quote_constraints(snapshot, range(snapshot.n_tranches),
-                                           bid_ask):
+    for coeffs, side in constraints:
         v = expected_npv(dpm, coeffs)
         worst = max(worst, side * v if side else abs(v))
     if worst > opt_backend.FEASIBILITY_TOL:
         what = "violates a quote band" if bid_ask else "misprices a tranche"
-        return SolveStatus.NUMERICAL_FAILURE, None, f"solution {what} by {worst:.3e}"
+        return (SolveStatus.NUMERICAL_FAILURE, None,
+                f"solution {what} by {worst:.3e}", None)
     what = "band violation" if bid_ask else "repricing error"
-    return SolveStatus.FEASIBLE, law, f"{res.message}; worst {what} {worst:.3e}"
+    return SolveStatus.FEASIBLE, law, f"{res.message}; worst {what} {worst:.3e}", slack
 
 
 def verify_weak(snapshot):
@@ -222,9 +281,10 @@ def _bounds(snapshot, problem, target, loss):
     ``loss`` is the target's loss vector in the problem's columns (beta, or
     h' beta). An up-front quote is affine in the columns, one LP per end; a
     running spread is a ratio of affine forms, one Charnes-Cooper LFP per
-    end, whose denominator is the outstanding-notional annuity. A failed
-    solve raises InfeasibleRegion if `_relaxed_point` proves the polytope
-    empty, SolverError otherwise.
+    end, whose denominator is the outstanding-notional annuity. A bound
+    solve that ends neither optimal nor infeasible asks `_elastic`: a quote
+    row that needs more than FEASIBILITY_TOL of slack raises
+    InfeasibleRegion, anything else SolverError.
     """
     sched, disc = snapshot.schedule, snapshot.discount
     blocks = dict(A_ub=problem.A_ub, b_ub=problem.b_ub,
@@ -260,7 +320,7 @@ def _bounds(snapshot, problem, target, loss):
             raise UnboundedRatio(str(exc)) from exc
         status = res.status
         if status not in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
-            status = _relaxed_point(problem).status
+            status = _elastic(problem)[0].status
         if status is SolveStatus.INFEASIBLE:
             law = "DPM" if problem.h is None else "generator"
             raise InfeasibleRegion(f"the constrained {law} polytope is empty")

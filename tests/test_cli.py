@@ -80,7 +80,8 @@ def test_calibrate_writes_a_marginal_csv(runner, tmp_path):
     assert len(lines) == 21
 
 
-def test_verify_weak_passes_and_writes_the_certificate(runner, tmp_path):
+def test_verify_weak_passes_and_writes_the_certificate(runner, snapshot,
+                                                      tmp_path):
     out = tmp_path / "dpm.csv"
     res = runner.invoke(main, ["verify-weak", "-i", str(SNAPSHOT_PATH),
                                "--json", "--out", str(out)])
@@ -89,6 +90,35 @@ def test_verify_weak_passes_and_writes_the_certificate(runner, tmp_path):
     assert payload["compatible"] is True
     _, dpm = dpm_from_csv(out)
     assert validate_dpm(dpm.q).valid
+    # a snapshot with no tranches has no quote row: any law is a certificate
+    raw = snapshot_to_dict(snapshot)
+    raw["tranches"] = []
+    path = _write_snapshot(tmp_path, raw, "no_tranches.json")
+    for argv in (["verify-weak"], ["verify-strong", "--resolution", "50"]):
+        res = runner.invoke(main, argv[:1] + ["-i", path] + argv[1:] + ["--json"])
+        assert res.exit_code == 0, argv
+        assert json.loads(res.output)["compatible"] is True
+        assert json.loads(res.output)["slack"] == []
+
+
+def test_verdicts_report_the_slack_of_each_quote(runner, snapshot, tmp_path):
+    res = runner.invoke(main, ["verify-weak", "-i", str(SNAPSHOT_PATH), "--json"])
+    assert res.exit_code == 0
+    slack = json.loads(res.output)["slack"]
+    assert len(slack) == 4
+    assert max(abs(s) for s in slack) <= opt_backend.FEASIBILITY_TOL
+    # the torn snapshot's second equity quote (50%) sits far above the first
+    torn = _torn_path(snapshot, tmp_path)
+    argv = ["verify-strong", "-i", torn, "--resolution", "50"]
+    res = runner.invoke(main, argv + ["--json"])
+    assert res.exit_code == 1
+    slack = json.loads(res.output)["slack"]
+    assert len(slack) == 5
+    assert max(abs(s) for s in slack) > opt_backend.FEASIBILITY_TOL
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 1
+    assert "largest slack: tranche [0,0.03] quote too high by" in res.output
+    assert "pct of width" in res.output
 
 
 def test_verify_weak_flags_incompatible_quotes(runner, snapshot, tmp_path):
@@ -141,10 +171,9 @@ def test_verify_bid_ask_strong_mode(runner, snapshot, tmp_path):
 
 def test_verify_strong_walk_ends_without_a_traceback(runner, snapshot,
                                                      tmp_path):
-    # equity at 40% is accepted only at N=75, and no N=50 law prices it, so
-    # the walk for the next tranche must skip N=50 rather than raise; a
-    # bound solve that fails on an empty polytope is proved empty by the
-    # relaxed feasibility solve, so the walk ends in a verdict
+    # with equity at 40% the mezzanine is accepted only at N=75; the walk
+    # goes on from there, since no coarser N prices the tranches before it,
+    # and ends in a verdict on the senior tranche
     raw = snapshot_to_dict(snapshot)
     raw["tranches"][0]["quote_value"] = 40.0
     res = runner.invoke(main, ["verify-strong", "-i",
@@ -214,14 +243,15 @@ def test_ranges_contain_every_quote(runner, tmp_path):
 
 def test_ranges_report_an_empty_polytope_without_a_traceback(runner, snapshot,
                                                             tmp_path):
-    # with the 12-100% tranche at 300 bp no N=50 law prices the quotes other
-    # than the equity tranche, so its range has no feasible region
-    res = runner.invoke(main, ["ranges", "-i", _far_path(snapshot, tmp_path),
-                               "--n-seq", "50"])
-    assert res.exit_code == 1
-    assert isinstance(res.exception, SystemExit)
-    assert res.output.strip() == ("no strong solution at N=50 prices the "
-                                  "quotes other than tranche [0,0.03]")
+    # with the 12-100% tranche at 300 bp, or a second equity quote at 50%,
+    # no N=50 law prices the quotes other than the equity tranche, so its
+    # range has no feasible region
+    for path in (_far_path(snapshot, tmp_path), _torn_path(snapshot, tmp_path)):
+        res = runner.invoke(main, ["ranges", "-i", path, "--n-seq", "50"])
+        assert res.exit_code == 1, path
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.strip() == ("no strong solution at N=50 prices the "
+                                      "quotes other than tranche [0,0.03]")
 
 
 def test_bounds_tranche_pins_the_index_spread(runner, tmp_path):
@@ -306,7 +336,7 @@ def test_input_errors_are_reported_before_any_verdict(runner, snapshot,
     # the fixture's N=50 law on the 12-100% tranche quoted at 300 bp
     (True, ["verify-strong", "--resolution", "50"], "1.117e-01"),
     # the weak certificate, read as a generator law at N = 125
-    (False, ["verify-weak"], "4.549e-04"),
+    (False, ["verify-weak"], "7.204e-04"),
 ], ids=["n50-law-on-far", "weak-certificate"])
 def test_simulate_refuses_a_stored_law_that_misprices_a_quote(
         runner, snapshot, tmp_path, far, law_argv, misprice):
@@ -354,8 +384,23 @@ def test_malformed_snapshot_reports_an_error(runner, tmp_path):
     assert "error" in res.output
 
 
+# a non-finite value of each number that a snapshot prices with
+NON_FINITE = {"index_spread_bps": "nan", "rate_pct": "nan", "recovery": "nan",
+              "fixed_running_bps": "nan", "quote_value": "inf",
+              "bid_value": "nan", "ask_value": "-inf"}
+
+
 def _malformed_argv(case, snapshot, tmp_path):
     raw = snapshot_to_dict(snapshot)
+    value, _, key = case.partition(" ")
+    if key in NON_FINITE:
+        if key in raw:
+            raw[key] = float(value)
+            return ["calibrate", "-i", _write_snapshot(tmp_path, raw)]
+        for tr in raw["tranches"]:
+            tr["bid_value"] = tr["ask_value"] = tr["quote_value"]
+        raw["tranches"][1][key] = float(value)
+        return ["verify-weak", "-i", _write_snapshot(tmp_path, raw)]
     if case == "rate_pct":
         del raw["rate_pct"]
         return ["calibrate", "-i", _write_snapshot(tmp_path, raw)]
@@ -371,12 +416,13 @@ def _malformed_argv(case, snapshot, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["rate_pct", "quote_value", "years",
-                                  "empty prior"])
+                                  "empty prior"] + [
+    f"{value} {key}" for key, value in NON_FINITE.items()])
 def test_malformed_input_is_an_error_not_a_verdict(runner, snapshot, tmp_path,
                                                    case):
     res = runner.invoke(main, _malformed_argv(case, snapshot, tmp_path))
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert res.stderr.startswith("error:")
-    if case in ("rate_pct", "quote_value"):
-        assert case in res.stderr
+    if case not in ("years", "empty prior"):
+        assert case.split()[-1] in res.stderr

@@ -180,10 +180,14 @@ def test_copula_exact_cap():
     n = 9
     row = np.full(n + 1, 1.0 / (n + 1))
     aug = AugmentedDPM.from_dpm(DPM(row[None, :]))
-    exact = implied_copula_value(aug, [1] * n)
-    mc, stderr = implied_copula_value(aug, [1] * n, mode="mc", samples=500,
-                                      seed=3, return_stderr=True)
-    assert abs(mc - exact) <= 3.0 * stderr + 1e-12
+    # at y = (1, ..., 1) every permutation gives the same minimum, so the mc
+    # standard error is 0; y with two distinct rows averages over them
+    for y in ([1] * n, [1] * 4 + [2] * 5):
+        exact = implied_copula_value(aug, y)
+        mc, stderr = implied_copula_value(aug, y, mode="mc", samples=500,
+                                          seed=3, return_stderr=True)
+        assert abs(mc - exact) <= 3.0 * stderr + 1e-12
+    assert exact == pytest.approx(0.2, abs=1e-12) and stderr > 0.0
 
 
 def test_copula_mc_matches_exact_within_three_sigma():

@@ -5,8 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from cdo_compat.opt_backend import (DegenerateDenominator, LinearProgram,
-                                    SolveStatus, relax_equalities, solve_lfp,
-                                    solve_lp, solve_relative_entropy)
+                                    SolveStatus, solve_lfp, solve_lp,
+                                    solve_relative_entropy)
 
 
 def test_lp_min_and_max_on_a_triangle():
@@ -44,15 +44,6 @@ def test_lp_accepts_sparse_matrices():
     res = solve_lp(lp)
     assert res.status is SolveStatus.OPTIMAL
     np.testing.assert_allclose(a @ res.x, [2.0, 1.0], atol=1e-9)
-
-
-def test_relax_equalities_pairs_rows():
-    a = np.array([[1.0, 2.0]])
-    b = np.array([3.0])
-    a_rel, b_rel = relax_equalities(a, b, slack=1e-6)
-    assert a_rel.shape == (2, 2)
-    np.testing.assert_allclose(a_rel.toarray(), [[1.0, 2.0], [-1.0, -2.0]])
-    np.testing.assert_allclose(b_rel, [3.0 + 1e-6, -3.0 + 1e-6])
 
 
 def _grid_ratio(c_num, d_num, c_den, d_den, points):

@@ -60,11 +60,28 @@ def test_certificate_matches_calibrated_marginals(snapshot, curve, weak_result):
                                atol=1e-7)
 
 
-def test_contradictory_quotes_are_infeasible(snapshot):
-    torn = _torn_snapshot(snapshot)
-    res = verify_weak(torn)
+@pytest.mark.parametrize("edits", [
+    pytest.param(None, id="torn"),
+    # near the arbitrage-free boundary and far equity moves, where a
+    # zero-objective feasibility LP ended in numerical failure
+    pytest.param({0: 28.1}, id="equity-28.1"),
+    pytest.param({0: 30.0}, id="equity-30"),
+    pytest.param({0: 16.706295424899928}, id="equity-16.706"),
+    pytest.param({0: 40.0}, id="equity-40"),
+    pytest.param({2: 125.0}, id="6-12-at-125bp"),
+])
+@pytest.mark.parametrize("verify", [
+    pytest.param(verify_weak, id="weak"),
+    pytest.param(lambda snap: verify_strong_at_N(snap, 50), id="strong-50"),
+])
+def test_contradictory_quotes_are_infeasible(snapshot, verify, edits):
+    snap = (_torn_snapshot(snapshot) if edits is None
+            else _with_quotes(snapshot, edits))
+    res = verify(snap)
     assert res.status is SolveStatus.INFEASIBLE
     assert not res.feasible and res.law is None
+    assert len(res.slack) == snap.n_tranches
+    assert max(abs(s) for s in res.slack) > opt_backend.FEASIBILITY_TOL
 
 
 def test_verdicts_are_run_to_run_stable(snapshot):
@@ -131,10 +148,11 @@ def test_disjoint_duplicate_bands_are_infeasible(snapshot, verify):
 ])
 def test_a_point_that_misses_the_quotes_is_a_solver_failure(snapshot, monkeypatch,
                                                             verify, bid_ask):
-    # all-ones repairs to uniform rows: a valid law that prices no quote, so
-    # the certificate check must refuse it instead of reporting a verdict
+    # the law's columns at one with every slack at zero: all-ones repairs to
+    # uniform rows, a valid law that prices no quote, so the certificate
+    # check must refuse it instead of reporting a verdict
     monkeypatch.setattr(opt_backend, "solve_lp", lambda lp: opt_backend.SolveResult(
-        SolveStatus.FEASIBLE, x=np.ones(lp.n_vars())))
+        SolveStatus.OPTIMAL, x=(lp.c == 0.0).astype(float)))
     snap = _banded(snapshot, {0: (28.2, 28.7), 1: (4.3, 4.8), 2: (105.0, 108.0),
                               3: (27.0, 28.0)}) if bid_ask else snapshot
     res = verify(snap)
