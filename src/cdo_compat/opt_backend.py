@@ -5,7 +5,13 @@ program in the package is solved through this module, so the modeling
 code never names a solver. Every LP goes to scipy's HiGHS
 (``method="highs"``) with no setting to select, so its result depends on
 its inputs alone. The relative-entropy program is solved on its dual by
-projected Newton, with the primal recovered in closed form.
+projected Newton, with the primal recovered in closed form. Each Newton
+system H d = r, H = A_F Q A_F' over the free rows, is factored as
+(D A_F) Q (D A_F)' y = D r, d = D'y, where D subtracts each free inequality
+row from the next. D is invertible, so the step is exact for any A; on
+the nested tail-sum rows of an m-date, n-name DPM, D A_F has about two
+nonzeros per row, so the factored matrix holds O(m n) nonzeros, not the
+O(m n^2) of H.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ T_CEILING = 1e9            # Charnes-Cooper auxiliary variable upper bound
 _NEWTON_STEPS = 100        # Newton steps per solve
 _BACKTRACKS = 40           # step halvings per line search
 _ARMIJO = 1e-4             # sufficient-decrease fraction of the predicted decrease
-_HESS_RIDGE = 1e-14        # relative ridge keeping the Newton system nonsingular
+_HESS_RIDGE = 1e-14        # relative ridge keeping the Newton system nonsingular;
+                           # ridge I on H is ridge D D' on the differenced system
 _NOISE_ULPS = 64           # rounding noise of the dual objective, in ulps of its terms
 _KKT_FLOOR = 1e-13         # polishing past KKT_TOL stops here
 
@@ -178,34 +185,99 @@ def _newton_direction(A, A_sq, q, g, v, n_eq):
     Bertsekas's eps-active set with a per-row eps: a multiplier whose slack
     g_i > 0 pushes it down goes to zero when one diagonal Newton step
     g_i / H_ii reaches zero (multipliers span orders of magnitude, so no
-    fixed eps fits). The rest take the Newton step on H_F = A_F diag(q) A_F',
-    factored sparse; one whose Newton value crosses zero is sent to zero too
-    and the step recomputed, since the projection would drop its pull on the
-    others and the step overshoot. Falls back to the plain step if not descent.
+    fixed eps fits). The rest (F) take the Newton step H_F d = r on
+    H_F = A_F Q A_F' + ridge I, Q = diag(q), r = -g_F; one whose Newton
+    value crosses zero is sent to zero too and the step recomputed with
+    its d fixed at -v, since the projection would drop its pull on the
+    others and the step overshoot. Falls back to the plain step if not
+    descent.
+
+    H_F is never formed. With D_F the unit upper-bidiagonal matrix that
+    subtracts each free inequality row from the next (equality rows keep
+    an identity block), the step solves
+    (D_F A_F) Q (D_F A_F)' y + ridge D_F D_F' y = D_F r and takes
+    d = D_F'y. D_F is invertible, so this is the same step for any A; on
+    nested tail-sum rows D_F A_F has about two nonzeros per row, so the
+    factor holds O(m n) nonzeros where H_F holds O(m n^2). Both terms come
+    from one product, E [A, I] = D_F [A_F, I_F] with E = D_F P_F
+    (``_row_differences``), its identity columns weighted by the ridge. A
+    re-solve drops the rows sent to zero by summing runs of its rows
+    (``_merge``): the difference of two free rows is the sum of the
+    differences between them.
     """
     ineq = np.arange(len(g)) >= n_eq
-    held = ineq & (g > 0.0) & (v * (A_sq @ q) <= g)
+    diag = A_sq @ q
+    held = ineq & (g > 0.0) & (v * diag <= g)
     rows = np.flatnonzero(~held)
-    A_F = A[rows]
-    hess = (A_F.multiply(q) @ A_F.T).tocsr()
-    hess = hess + sp.identity(len(rows), format="csr") * (
-        _HESS_RIDGE * max(1.0, float(hess.diagonal().max())))
+    E = _row_differences(rows, len(g), n_eq)
+    # D_F [A_F, I_F] diag(q, ridge)^(1/2), so DA DA' is the system
+    DA_F = sp.hstack([E @ A, E], format="csr")
+    root = np.sqrt(np.concatenate(
+        [q, np.full(len(g), _HESS_RIDGE * max(1.0, float(diag[rows].max())))]))
+    DA_F.data *= root[DA_F.indices]
+    Dg = E @ g
     d = np.where(held, -v, 0.0)
     bound = np.zeros(len(rows), dtype=bool)
+    keep, out = rows, rows[bound]
+    DA, rhs = DA_F, -Dg
     plain = None
     while True:
-        keep, out = np.flatnonzero(~bound), np.flatnonzero(bound)
-        rhs = hess[keep][:, out] @ v[rows[out]] - g[rows[keep]]
-        sub = hess[keep][:, keep] if out.size else hess
-        step = splu(sub.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(rhs)
-        d[rows[keep]] = step
-        d[rows[out]] = -v[rows[out]]
+        # the system is symmetric, so its transpose is the csc form splu takes
+        y = splu((DA @ DA.T).T, permc_spec="MMD_AT_PLUS_A").solve(rhs)
+        step = y.copy()
+        step[n_eq + 1:] -= y[n_eq:-1]  # D'y
+        d[keep] = step
+        d[out] = -v[out]
         if plain is None:
             plain = d.copy()
-        cross = ineq[rows[keep]] & (v[rows[keep]] + step < 0.0)
+        cross = ineq[keep] & (v[keep] + step < 0.0)
         if not cross.any():
             return d if g @ d < 0.0 else plain
-        bound[keep[cross]] = True
+        bound[np.flatnonzero(~bound)[cross]] = True
+        keep, out = rows[~bound], rows[bound]
+        # DA_F'z = [A_out' v_out; v_out] diag(q, ridge)^(1/2), the pull of
+        # the rows sent to zero: z = D_F^(-T) (v on them, 0 elsewhere)
+        z = np.where(bound, v[rows], 0.0)
+        z[n_eq:] = np.cumsum(z[n_eq:])
+        S = _merge(np.flatnonzero(~bound), len(rows), n_eq)
+        DA = S @ DA_F
+        rhs = DA @ (DA_F.T @ z) - S @ Dg
+
+
+def _row_differences(rows, size, n_eq):
+    """E = D_F P_F: rows ``rows`` (sorted) of the size-``size`` identity.
+
+    The first n_eq are equalities and stay as they are; each later one
+    becomes itself minus the next, and the last stays.
+    """
+    n = len(rows)
+    pair = np.arange(n) >= n_eq
+    pair[-1] = False
+    indptr = np.concatenate([[0], np.cumsum(1 + pair)])
+    second = indptr[:-1][pair] + 1
+    cols = np.empty(indptr[-1], dtype=rows.dtype)
+    cols[indptr[:-1]] = rows
+    cols[second] = rows[1:][pair[:-1]]
+    vals = np.ones(indptr[-1])
+    vals[second] = -1.0
+    return sp.csr_matrix((vals, cols, indptr), shape=(n, size))
+
+
+def _merge(keep, size, n_eq):
+    """S with S D = D_K P_K, where D differences ``size`` rows as above.
+
+    P_K picks the sorted positions ``keep`` and D_K differences them alike.
+    Row i of S sums rows keep[i] .. keep[i+1] - 1 of D, through the last
+    for the last, since e_a - e_b = sum_{a <= c < b} (e_c - e_{c+1}). The
+    first n_eq rows, the equalities, are always kept and pick themselves.
+    """
+    ends = np.append(keep[1:], size)
+    ends[:n_eq] = keep[:n_eq] + 1
+    counts = ends - keep
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    cols = np.arange(indptr[-1]) + np.repeat(keep - indptr[:-1], counts)
+    return sp.csr_matrix((np.ones(len(cols)), cols, indptr),
+                         shape=(len(keep), size))
 
 
 def solve_relative_entropy(reference, A_eq, b_eq, A_ub=None, b_ub=None):
@@ -223,6 +295,12 @@ def solve_relative_entropy(reference, A_eq, b_eq, A_ub=None, b_ub=None):
     is below KKT_TOL; otherwise an LP tells INFEASIBLE from numerical
     failure. ``extra`` holds ``iterations`` (Newton steps), ``evaluations``
     (dual evaluations), ``kkt`` and ``wall_s``.
+
+    Each Newton system is factored in differenced rows (see
+    ``_newton_direction``): D, which subtracts each free inequality row
+    from the next, is invertible, so the step is the one H_F d = r gives,
+    while on the nested tail-sum rows of a DPM polytope the factored matrix
+    has O(m n) nonzeros instead of the O(m n^2) of H_F.
     """
     start = time.perf_counter()
     reference = np.asarray(reference, float).ravel()

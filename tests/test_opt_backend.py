@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cdo_compat.opt_backend import (DegenerateDenominator, LinearProgram,
-                                    SolveStatus, solve_lfp, solve_lp,
+from cdo_compat.opt_backend import (_HESS_RIDGE, DegenerateDenominator,
+                                    LinearProgram, SolveStatus,
+                                    _newton_direction, solve_lfp, solve_lp,
                                     solve_relative_entropy)
+from cdo_compat.weak_compat import monotonicity_block
 
 
 def test_lp_min_and_max_on_a_triangle():
@@ -136,3 +140,86 @@ def test_entropy_requires_positive_reference():
     with pytest.raises(ValueError):
         solve_relative_entropy(np.array([1.0, 0.0]), A_eq=np.ones((1, 2)),
                                b_eq=np.array([1.0]))
+
+
+def _newton_instance(rng, kind):
+    """A dual point over unit row sums plus one kind of inequality rows.
+
+    ``tail``: the nested tail-sum monotonicity rows of an m-date, n-name
+    DPM; ``shuffled``: the same rows in random order; ``random``: Gaussian
+    rows. Every A has full row rank, so the dense reference is well posed.
+    """
+    m, n = int(rng.integers(2, 5)), int(rng.integers(2, 7))
+    A_eq = np.kron(np.eye(m), np.ones(n + 1))
+    A_ub = monotonicity_block(m, n)[0].toarray()
+    if kind == "shuffled":
+        A_ub = A_ub[rng.permutation(len(A_ub))]
+    elif kind == "random":
+        A_ub = rng.standard_normal(A_ub.shape)
+    A = np.vstack([A_eq, A_ub])
+    q = rng.uniform(0.2, 2.0, A.shape[1])
+    g = rng.standard_normal(len(A))
+    v = np.concatenate([rng.standard_normal(m),
+                        rng.exponential(size=len(A_ub)) * (rng.random(len(A_ub)) < 0.6)])
+    return A, q, g, v, m
+
+
+def _dense_direction(A, q, g, v, n_eq):
+    """The projected Newton direction by dense solves on H = A Q A' + ridge I.
+
+    Also returns the number of solves and the smallest gap that decided a
+    held or crossing multiplier, so a test can skip rounding ties.
+    """
+    H = (A * q) @ A.T
+    ineq = np.arange(len(g)) >= n_eq
+    held_gap = g - v * np.diag(H)
+    held = ineq & (g > 0.0) & (held_gap >= 0.0)
+    margin = np.min(np.abs(held_gap[ineq & (g > 0.0)]), initial=np.inf)
+    free = np.flatnonzero(~held)
+    H = H + _HESS_RIDGE * max(1.0, np.diag(H)[free].max()) * np.eye(len(g))
+    d = np.where(held, -v, 0.0)
+    keep, plain, solves = free, None, 0
+    while True:
+        out = np.setdiff1d(free, keep)
+        d[out] = -v[out]
+        d[keep] = np.linalg.solve(H[np.ix_(keep, keep)],
+                                  -g[keep] - H[np.ix_(keep, out)] @ d[out])
+        solves += 1
+        if plain is None:
+            plain = d.copy()
+        gap = v[keep] + d[keep]
+        margin = min(margin, np.min(np.abs(gap[ineq[keep]]), initial=np.inf))
+        cross = ineq[keep] & (gap < 0.0)
+        if not cross.any():
+            return (d if g @ d < 0.0 else plain), solves, margin
+        keep = keep[~cross]
+
+
+def _assert_same_direction(A, q, g, v, n_eq, ref):
+    A = sp.csr_matrix(A)
+    d = _newton_direction(A, A.multiply(A).tocsr(), q, g, v, n_eq)
+    assert np.linalg.norm(d - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1),
+       st.sampled_from(["tail", "shuffled", "random"]))
+def test_newton_direction_solves_the_undifferenced_system(seed, kind):
+    # the step is factored in differenced rows; D is invertible, so it must
+    # be the step H_F d = r gives for any row order and any rows
+    instance = _newton_instance(np.random.default_rng(seed), kind)
+    ref, _, margin = _dense_direction(*instance)
+    assume(margin > 1e-6)
+    _assert_same_direction(*instance, ref)
+
+
+@pytest.mark.parametrize("kind", ["tail", "shuffled", "random"])
+def test_newton_direction_after_a_multiplier_crosses_zero(kind):
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        instance = _newton_instance(rng, kind)
+        ref, solves, margin = _dense_direction(*instance)
+        if solves > 1:
+            break
+    assert solves > 1 and margin > 1e-6
+    _assert_same_direction(*instance, ref)

@@ -12,6 +12,7 @@ from cdo_compat.market_model import calibrate_hazard
 from cdo_compat.risk_engine import (_format_rows, _nested_binomial_counts,
                                     posterior_dpm, read_samples, simulate_npv,
                                     spread_delta)
+from cdo_compat.strong_compat import h_matrix, qij_from_p
 from cdo_compat.tranche_valuation import DimensionMismatch
 
 
@@ -20,19 +21,31 @@ def test_posterior_is_the_prior_when_nothing_moves(snapshot, curve, weak_result)
     assert np.max(np.abs(post.q - weak_result.law.q)) < 1e-6
 
 
-def test_posterior_marginals_track_the_bumped_curve(snapshot, weak_result):
-    # the dual starts at zero multipliers; at the optimum a widening bump
-    # binds 398 of the 2375 monotonicity rows and a tightening one 1337
+def _assert_posterior_tracks_bumped_curves(snapshot, prior):
     for shift in (1e-4, -1e-4):
         bumped = calibrate_hazard(snapshot.index_spread + shift,
                                   snapshot.schedule, snapshot.discount,
                                   snapshot.portfolio.recovery)
-        post, solver = posterior_dpm(weak_result.law, bumped, snapshot.schedule)
+        post, solver = posterior_dpm(prior, bumped, snapshot.schedule)
         np.testing.assert_allclose(post.means(),
                                    125 * bumped.grid(snapshot.schedule),
                                    atol=1e-7)
         np.testing.assert_allclose(post.q.sum(axis=1), 1.0, atol=1e-9)
         assert solver["kkt"] < 1e-8
+
+
+def test_posterior_marginals_track_the_bumped_curve(snapshot, weak_result):
+    # the dual starts at zero multipliers; at the optimum a widening bump
+    # binds 398 of the 2375 monotonicity rows and a tightening one 1337
+    _assert_posterior_tracks_bumped_curves(snapshot, weak_result.law)
+
+
+def test_posterior_from_a_strong_prior_tracks_the_bumped_curve(snapshot,
+                                                               strong_100):
+    # the count law of the N=100 generator law: a tightening bump re-solves
+    # the Newton system after multipliers cross zero on most steps
+    prior = qij_from_p(strong_100.law, h_matrix(snapshot.portfolio.n, 100))
+    _assert_posterior_tracks_bumped_curves(snapshot, prior)
 
 
 def test_hedge_report_values_and_schema(snapshot, weak_result):

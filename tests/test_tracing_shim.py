@@ -1,11 +1,11 @@
 """The benchmark's traced-run shim still installs against the package.
 
 `perfbench/tracing.py` wraps the polytope builders and the sampler's two
-stages by class and method name; a rename in the package, or a simulator
-that stopped calling those methods, would silently zero its assembly counts
-and sampler spans. The shim is imported by path and run in a fresh
-interpreter, so its rebinding of package names cannot leak into the rest of
-the suite.
+stages by class and method name, and reads the entropy solve's record; a
+rename in the package, or a simulator that stopped calling those methods,
+would silently zero its assembly counts, sampler spans and entropy
+counters. The shim is imported by path and run in a fresh interpreter, so
+its rebinding of package names cannot leak into the rest of the suite.
 """
 
 import json
@@ -26,9 +26,9 @@ spec.loader.exec_module(tracing)
 tracer = tracing.Tracer()
 tracer.install()
 from cdo_compat import (load_snapshot, range_at_N, simulate_npv,
-                        verify_strong_at_N, verify_weak)
+                        spread_delta, verify_strong_at_N, verify_weak)
 snap = load_snapshot(sys.argv[2])
-verify_weak(snap)
+spread_delta(snap, verify_weak(snap).law)
 range_at_N(snap, [0, 1, 2], 3, N=50)
 simulate_npv(verify_strong_at_N(snap, 50).law, snap, 1000, seed=1)
 print(json.dumps(tracer.metrics()))
@@ -49,3 +49,5 @@ def test_tracer_counts_both_polytope_assemblies(tmp_path):
     assert metrics["strong_compat.assemble_calls"] >= 1
     assert metrics["strong_compat.generator_s"] > 0.0
     assert metrics["strong_compat.distortion_s"] > 0.0
+    assert metrics["opt_backend.entropy_calls"] == 1
+    assert metrics["opt_backend.entropy_kkt_max"] < 1e-8
