@@ -222,8 +222,11 @@ def _newton_direction(A, A_sq, q, g, v, n_eq):
     DA, rhs = DA_F, -Dg
     plain = None
     while True:
-        # the system is symmetric, so its transpose is the csc form splu takes
-        y = splu((DA @ DA.T).T, permc_spec="MMD_AT_PLUS_A").solve(rhs)
+        # the system is symmetric positive definite: its transpose is the csc
+        # form splu takes, and pivoting on the diagonal with a symmetric
+        # ordering keeps the factors sparse
+        y = splu((DA @ DA.T).T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                 options={"SymmetricMode": True}).solve(rhs)
         step = y.copy()
         step[n_eq + 1:] -= y[n_eq:-1]  # D'y
         d[keep] = step

@@ -6,7 +6,7 @@ p_{ik} on {0..N} per payment date; the default-count law it induces mixes
 Beta distributions through the h coefficients, q = p h', so tranche
 pricing stays linear in p. The generator law obeys the DPM constraints
 over N + 1 states, so it is a `DPM` whose n is N. The question is then the
-weak polytope under the column map h instead of the identity:
+weak polytope under the column map h instead of the kink-state selection:
 `StrongFeasibilityProblem` selects that map, and the assembly, certificate
 check, `Verdict` and bound routine are the ones in `weak_compat`. This
 module supplies h, computes N-dependent price ranges (the iterative
@@ -51,6 +51,11 @@ class HCoefficients:
     n: int
     N: int
 
+    @property
+    def states(self):
+        """Generator state k of each column; state N is the whole pool."""
+        return np.arange(self.N + 1.0)
+
 
 @lru_cache(maxsize=64)
 def h_matrix(n, N):
@@ -81,6 +86,8 @@ def qij_from_p(law, h):
 
 class StrongFeasibilityProblem(_Polytope):
     """The polytope over generator weights p_ik at resolution N, mapped onto q by h."""
+
+    generator = True
 
     @classmethod
     def from_snapshot(cls, snapshot, N, priced=None, bid_ask=False):

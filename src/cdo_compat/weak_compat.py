@@ -1,21 +1,36 @@
 """The default-count polytope under a column map, and weak compatibility.
 
 Weak and strong compatibility are one linear system over the default-count
-law q, posed over two sets of columns. Weak poses it over q itself, n + 1
-states per date: the column map H is the identity. Strong poses it over a
-generator law p at resolution N, N + 1 states per date, which the
-beta-binomial matrix h of `strong_compat` maps onto q = p h': H = h. This
-module assembles that polytope once for both maps: unit row sums, marginal
-means ``states * F(T_i)``, non-decreasing tail sums, non-negativity, and one
-pricing row ``outer(lambda, H' beta)`` per quote, an equality at a mid quote
-or a pair of inequalities for a bid/ask band. Both questions share the rest
-too: the elastic decision LP, which gives each quote row a non-negative
-slack and minimizes their total, with its certificate check (repair,
-validate, reprice) and its `Verdict`, whose law is a `DPM` over the
-columns' states under either map; and quote bounds for a tranche that is
-not quoted, an LP for up-front quotes and a linear fractional program for
+law q, posed over two sets of columns, each mapped onto q = p H' by an
+(n + 1)-row matrix H. Strong poses it over a generator law p at resolution
+N, N + 1 states per date, through the beta-binomial matrix h of
+`strong_compat`: H = h. Weak poses it over the kink states K of the n + 1
+default counts, H the selection of those columns: K holds 0, n and the
+floor and ceiling of every loss kink x = t n / (1 - R), 0 < x < n, t an
+attachment or detachment of a quoted tranche or of a bound's target. The
+restriction is exact. Every weak row (unit row sums, the means, each
+quote's and a target's loss beta) is affine in j between adjacent states
+of K. Splitting the mass at j onto those two states in the proportions
+that keep j's mean is a stochastically monotone kernel (Shaked and
+Shanthikumar, Stochastic Orders, 2007, ch. 1.A), so it keeps tail sums
+ordered across dates and every row's value. So a law over all counts and
+its image over K meet the same rows, every law over K is one over all
+counts, and the LPs over K have the same verdicts, optima and elastic
+slacks as over all n + 1 counts.
+
+This module assembles that polytope once for both maps: unit row sums,
+marginal means sum_c s_c p_ic = s_last F(T_i) over the columns' state
+values s (the last state is the whole pool), non-decreasing tail sums,
+non-negativity, and one pricing row ``outer(lambda, H' beta)`` per quote,
+an equality at a mid quote or a pair of inequalities for a bid/ask band.
+Both questions share the rest too: the elastic decision LP, which gives
+each quote row a non-negative slack and minimizes their total, with its
+certificate check (repair, validate, map through H, reprice) and its
+`Verdict`, whose law is the default-count `DPM` q under the weak map and
+the generator law p under h; and quote bounds for a tranche that is not
+quoted, an LP for up-front quotes and a linear fractional program for
 running spreads.
-`WeakFeasibilityProblem` selects H = I here;
+`WeakFeasibilityProblem` selects the kink states here;
 `strong_compat.StrongFeasibilityProblem` selects H = h.
 """
 
@@ -58,13 +73,50 @@ def monotonicity_block(m, n):
     return A, np.zeros(A.shape[0])
 
 
-def marginal_blocks(m, n, marginal_means):
-    """Row-sum and mean equality rows: sum_j q_ij = 1, sum_j j q_ij = mean_i."""
+def marginal_blocks(m, n, marginal_means, states=None):
+    """Row-sum and mean equality rows: sum_j q_ij = 1, sum_j s_j q_ij = mean_i.
+
+    ``states`` holds the value s_j of each of the n + 1 columns, j itself
+    by default.
+    """
     dates = sp.eye(m)
     A = sp.vstack([sp.kron(dates, np.ones(n + 1)),
-                   sp.kron(dates, np.arange(n + 1.0))], format="csr")
+                   sp.kron(dates, np.arange(n + 1.0) if states is None else states)],
+                  format="csr")
     A.eliminate_zeros()  # the j = 0 mean coefficients
     return A, np.concatenate([np.ones(m), marginal_means])
+
+
+def kink_states(portfolio, tranches):
+    """K: 0, n and the floor and ceiling of each loss kink x = t n / (1 - R).
+
+    t runs over the tranches' attachments and detachments; kinks outside
+    0 < x < n add nothing. Every tranche loss is affine in j between
+    adjacent states of K. Plain floor and ceiling: an x that rounds to
+    either side of an integer kink still yields that integer.
+    """
+    n = portfolio.n
+    x = np.array([t for tr in tranches for t in (tr.attach, tr.detach)])
+    x = x * n / (1.0 - portfolio.recovery)
+    x = x[(x > 0) & (x < n)]
+    return np.unique(np.concatenate([[0, n], np.floor(x), np.ceil(x)]).astype(int))
+
+
+@dataclass(frozen=True)
+class StateSelection:
+    """The weak column map: H selects the default counts ``states`` (K).
+
+    ``h`` is the (n + 1) x |K| matrix with a one at (K_c, c), so q = p h'
+    puts column c of p at count K_c and H' beta = beta[K]. K = 0..n is the
+    identity, the polytope over every count.
+    """
+
+    h: np.ndarray
+    states: np.ndarray
+
+    @classmethod
+    def of(cls, states, n):
+        return cls(np.eye(n + 1)[:, states], np.asarray(states, float))
 
 
 def _check_not_crossed(tranche, bid, ask, l):
@@ -102,10 +154,12 @@ def _quote_constraints(snapshot, priced, bid_ask):
 class _Polytope:
     """Constraint blocks A_eq x = b_eq, A_ub x <= b_ub, x >= 0 of one snapshot.
 
-    ``x`` holds m rows of states + 1 columns; ``h`` is None when the
-    columns are the DPM itself and the h coefficients when they are a
-    generator law. The last ``n_quotes`` rows of A_ub (``bands``) or of
-    A_eq (mid quotes) are the quote rows.
+    ``x`` holds m rows of one column per state; ``h`` is the column map, a
+    `StateSelection` or the h coefficients, whose ``h`` is the matrix H and
+    whose ``states`` are the columns' values. ``generator`` says whether
+    the columns' law p is the certificate (a generator law) or q = p H' is.
+    The last ``n_quotes`` rows of A_ub (``bands``) or of A_eq (mid quotes)
+    are the quote rows.
     """
 
     A_eq: object
@@ -116,21 +170,22 @@ class _Polytope:
     h: object
     n_quotes: int
     bands: bool
+    generator = False
 
 
 def _assemble(cls, snapshot, h, priced, bid_ask):
     """Equalities are marginals then pricing; inequalities monotonicity then bands."""
     m = snapshot.schedule.m
-    states = snapshot.portfolio.n if h is None else h.N
-    A_marg, b_marg = marginal_blocks(m, states,
-                                     states * snapshot.curve.grid(snapshot.schedule))
-    A_mono, b_mono = monotonicity_block(m, states)
+    states = h.states
+    size = len(states) - 1
+    A_marg, b_marg = marginal_blocks(
+        m, size, states[-1] * snapshot.curve.grid(snapshot.schedule), states)
+    A_mono, b_mono = monotonicity_block(m, size)
     eq_rows, eq_rhs = [A_marg], [b_marg]
     ub_rows, ub_rhs = [A_mono], [b_mono]
     constraints = _quote_constraints(snapshot, priced, bid_ask)
     for coeffs, side in constraints:
-        loss = coeffs.beta if h is None else h.h.T @ coeffs.beta
-        row = np.outer(coeffs.lam, loss).ravel()
+        row = np.outer(coeffs.lam, h.h.T @ coeffs.beta).ravel()
         if side == 0:
             eq_rows.append(sp.csr_matrix(row[None, :]))
             eq_rhs.append(np.array([coeffs.gamma]))
@@ -143,11 +198,17 @@ def _assemble(cls, snapshot, h, priced, bid_ask):
 
 
 class WeakFeasibilityProblem(_Polytope):
-    """The polytope over DPM entries q_ij, every quoted tranche priced."""
+    """The polytope over DPM entries at the kink states, every quoted tranche priced.
+
+    ``target``, a tranche to bound, adds its own kinks to the states.
+    """
 
     @classmethod
-    def from_snapshot(cls, snapshot, bid_ask=False):
-        return _assemble(cls, snapshot, None, range(snapshot.n_tranches), bid_ask)
+    def from_snapshot(cls, snapshot, bid_ask=False, target=None):
+        tranches = list(snapshot.tranches) + ([] if target is None else [target])
+        h = StateSelection.of(kink_states(snapshot.portfolio, tranches),
+                              snapshot.portfolio.n)
+        return _assemble(cls, snapshot, h, range(snapshot.n_tranches), bid_ask)
 
 
 @dataclass
@@ -226,8 +287,8 @@ def _verify(snapshot, problem, bid_ask):
     """Decide with the elastic LP and check its point as a certificate.
 
     Returns ``(status, law, message, slack)``, see `Verdict`. The point is
-    repaired, validated as a law and repriced (through q = p h' under H = h)
-    against every quote; one that fails validation or misses a quote by more
+    repaired, validated as a law, mapped onto q = p H' and repriced against
+    every quote; one that fails validation or misses a quote by more
     than FEASIBILITY_TOL is a solver failure, never a verdict.
     """
     res, slack = _elastic(problem)
@@ -242,7 +303,7 @@ def _verify(snapshot, problem, bid_ask):
         return SolveStatus.NUMERICAL_FAILURE, None, res.message, None
     try:
         law = DPM(repair_structure(res.x.reshape(problem.m, -1)))
-        dpm = law if problem.h is None else DPM(law.q @ problem.h.h.T)
+        dpm = DPM(law.q @ problem.h.h.T)
     except InvalidDPM as exc:
         return (SolveStatus.NUMERICAL_FAILURE, None,
                 f"solution failed validation: {exc}", None)
@@ -255,7 +316,8 @@ def _verify(snapshot, problem, bid_ask):
         return (SolveStatus.NUMERICAL_FAILURE, None,
                 f"solution {what} by {worst:.3e}", None)
     what = "band violation" if bid_ask else "repricing error"
-    return SolveStatus.FEASIBLE, law, f"{res.message}; worst {what} {worst:.3e}", slack
+    return (SolveStatus.FEASIBLE, law if problem.generator else dpm,
+            f"{res.message}; worst {what} {worst:.3e}", slack)
 
 
 def verify_weak(snapshot):
@@ -278,13 +340,13 @@ def _target(attach, detach, quote_kind, fixed_running):
 def _bounds(snapshot, problem, target, loss):
     """(lower, upper) of the target tranche's quote over the problem's polytope.
 
-    ``loss`` is the target's loss vector in the problem's columns (beta, or
-    h' beta). An up-front quote is affine in the columns, one LP per end; a
-    running spread is a ratio of affine forms, one Charnes-Cooper LFP per
-    end, whose denominator is the outstanding-notional annuity. A bound
-    solve that ends neither optimal nor infeasible asks `_elastic`: a quote
-    row that needs more than FEASIBILITY_TOL of slack raises
-    InfeasibleRegion, anything else SolverError.
+    ``loss`` is the target's loss vector in the problem's columns, H' beta.
+    An up-front quote is affine in the columns, one LP per end; a running
+    spread is a ratio of affine forms, one Charnes-Cooper LFP per end, whose
+    denominator is the outstanding-notional annuity. A bound solve that ends
+    neither optimal nor infeasible asks `_elastic`: a quote row that needs
+    more than FEASIBILITY_TOL of slack raises InfeasibleRegion, anything
+    else SolverError.
     """
     sched, disc = snapshot.schedule, snapshot.discount
     blocks = dict(A_ub=problem.A_ub, b_ub=problem.b_ub,
@@ -322,7 +384,7 @@ def _bounds(snapshot, problem, target, loss):
         if status not in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
             status = _elastic(problem)[0].status
         if status is SolveStatus.INFEASIBLE:
-            law = "DPM" if problem.h is None else "generator"
+            law = "generator" if problem.generator else "DPM"
             raise InfeasibleRegion(f"the constrained {law} polytope is empty")
         if res.status is not SolveStatus.OPTIMAL:
             raise SolverError(f"bound solve failed: {res.status.value}: {res.message}")
@@ -344,6 +406,6 @@ def nonstandard_tranche_bounds(snapshot, attach, detach, quote_kind,
     outstanding-notional annuity) can reach zero.
     """
     target = _target(attach, detach, quote_kind, fixed_running)
-    problem = WeakFeasibilityProblem.from_snapshot(snapshot)
+    problem = WeakFeasibilityProblem.from_snapshot(snapshot, target=target)
     return _bounds(snapshot, problem, target,
-                   beta_coeffs(target, snapshot.portfolio))
+                   problem.h.h.T @ beta_coeffs(target, snapshot.portfolio))

@@ -10,7 +10,9 @@ from click.testing import CliRunner
 from cdo_compat import opt_backend
 from cdo_compat.cli import main
 from cdo_compat.dpm_core import dpm_from_csv, validate_dpm
-from cdo_compat.market_model import snapshot_to_dict
+from cdo_compat.market_model import load_snapshot, snapshot_to_dict
+from cdo_compat.strong_compat import h_matrix, qij_from_p
+from cdo_compat.tranche_valuation import coefficients_for, expected_npv
 
 from conftest import SNAPSHOT_PATH
 
@@ -335,8 +337,9 @@ def test_input_errors_are_reported_before_any_verdict(runner, snapshot,
 @pytest.mark.parametrize("far, law_argv, misprice", [
     # the fixture's N=50 law on the 12-100% tranche quoted at 300 bp
     (True, ["verify-strong", "--resolution", "50"], "1.117e-01"),
-    # the weak certificate, read as a generator law at N = 125
-    (False, ["verify-weak"], "7.204e-04"),
+    # the weak certificate, read as a generator law at N = 125; its misprice
+    # depends on the vertex, so it is recomputed from the stored law
+    (False, ["verify-weak"], None),
 ], ids=["n50-law-on-far", "weak-certificate"])
 def test_simulate_refuses_a_stored_law_that_misprices_a_quote(
         runner, snapshot, tmp_path, far, law_argv, misprice):
@@ -345,6 +348,12 @@ def test_simulate_refuses_a_stored_law_that_misprices_a_quote(
                                               str(law)] + law_argv[1:])
     assert res.exit_code == 0
     path = _far_path(snapshot, tmp_path) if far else SNAPSHOT_PATH
+    if misprice is None:
+        _, stored = dpm_from_csv(str(law))
+        q = qij_from_p(stored, h_matrix(snapshot.portfolio.n, stored.n))
+        worst = max(abs(expected_npv(q, c))
+                    for c in coefficients_for(load_snapshot(path)))
+        misprice = f"{worst:.3e}"
     res = runner.invoke(main, ["simulate", "-i", path, "--solution", str(law),
                                "--paths", "100"])
     assert res.exit_code == 2

@@ -19,7 +19,8 @@ from cdo_compat.strong_compat import (GammaDistortion, GeneratorSampler,
 from cdo_compat.tranche_valuation import (DimensionMismatch,
                                           TrancheCoefficients,
                                           coefficients_for, expected_npv)
-from cdo_compat.weak_compat import InvalidQuotes, WeakFeasibilityProblem
+from cdo_compat.weak_compat import (InvalidQuotes, StateSelection,
+                                    WeakFeasibilityProblem, _assemble)
 
 QUOTES = {0: (0.28438, "upfront"), 1: (0.04531, "upfront"),
           2: (106.32e-4, "spread"), 3: (27.44e-4, "spread")}
@@ -81,7 +82,9 @@ def test_strong_solution_reprices_through_mixing(snapshot, strong_100):
 
 def test_strong_certificate_satisfies_weak_constraints(snapshot, strong_100):
     dpm = qij_from_p(strong_100.law, h_matrix(125, 100))
-    problem = WeakFeasibilityProblem.from_snapshot(snapshot)
+    # the weak polytope over every default count, not only the kink states
+    problem = _assemble(WeakFeasibilityProblem, snapshot,
+                        StateSelection.of(np.arange(126), 125), range(4), False)
     x = dpm.q.ravel()
     assert np.max(problem.A_ub @ x - problem.b_ub) <= 1e-9
     assert np.max(np.abs(problem.A_eq @ x - problem.b_eq)) <= 1e-7

@@ -1,17 +1,25 @@
 """Weak compatibility: feasibility verdicts, constraint blocks, quote bounds."""
 
 import copy
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.stats import binom
 
 from cdo_compat import opt_backend
 from cdo_compat.dpm_core import tail_sums, validate_dpm
 from cdo_compat.market_model import snapshot_from_dict, snapshot_to_dict
-from cdo_compat.opt_backend import SolveStatus
+from cdo_compat.opt_backend import SolverError, SolveStatus
 from cdo_compat.strong_compat import verify_strong_at_N, verify_strong_bid_ask
-from cdo_compat.tranche_valuation import coefficients_for, expected_npv
+from cdo_compat.tranche_valuation import (TrancheCoefficients, beta_coeffs,
+                                          coefficients_for, expected_npv)
 from cdo_compat.weak_compat import (InfeasibleRegion, InvalidQuotes,
+                                    StateSelection, UnboundedRatio,
+                                    WeakFeasibilityProblem, _assemble, _bounds,
+                                    _target, _verify, kink_states,
                                     marginal_blocks, monotonicity_block,
                                     nonstandard_tranche_bounds, verify_weak,
                                     verify_weak_bid_ask)
@@ -236,3 +244,181 @@ def test_bounds_reject_bad_inputs(snapshot):
         nonstandard_tranche_bounds(snapshot, 0.05, 0.03, "spread")
     with pytest.raises(ValueError):
         nonstandard_tranche_bounds(snapshot, 0.0, 0.05, "price")
+
+
+# Exactness of the kink states: the weak LPs over K against the same LPs over
+# every default count (K = 0..n, the oracle).
+
+def _over(snapshot, states, bid_ask=False):
+    """The weak polytope over the default counts ``states``."""
+    return _assemble(WeakFeasibilityProblem, snapshot,
+                     StateSelection.of(states, snapshot.portfolio.n),
+                     range(snapshot.n_tranches), bid_ask)
+
+
+def _all_states(snapshot, bid_ask, target):
+    return _over(snapshot, np.arange(snapshot.portfolio.n + 1), bid_ask)
+
+
+def _kink_states(snapshot, bid_ask, target):
+    return WeakFeasibilityProblem.from_snapshot(snapshot, bid_ask, target)
+
+
+def _residual(lp, x):
+    """The point's largest violation of the LP's rows and of x >= 0."""
+    worst = [float(np.max(-x))]
+    if lp.A_ub is not None:
+        worst.append(float(np.max(lp.A_ub @ x - lp.b_ub, initial=0.0)))
+    if lp.A_eq is not None:
+        worst.append(float(np.max(np.abs(lp.A_eq @ x - lp.b_eq), initial=0.0)))
+    return max(worst)
+
+
+def _weak_answers(snapshot, problem, targets):
+    """Verdict and total elastic slack per quote kind, then each target's bounds.
+
+    ``problem(snapshot, bid_ask, target)`` gives the polytope; a bound that
+    raises is answered by the exception's name. Also returns the largest
+    residual of the points HiGHS returned, inf if a solve failed.
+    """
+    residuals = [0.0]
+    solve = opt_backend.solve_lp
+
+    def solve_and_check(lp):
+        res = solve(lp)
+        residuals.append(np.inf if res.status is SolveStatus.NUMERICAL_FAILURE
+                         else 0.0 if res.x is None else _residual(lp, res.x))
+        return res
+    out = []
+    with mock.patch.object(opt_backend, "solve_lp", solve_and_check):
+        for bid_ask in (False, True) if snapshot.bid is not None else (False,):
+            status, _, _, slack = _verify(
+                snapshot, problem(snapshot, bid_ask, None), bid_ask)
+            out.append((status,
+                        None if slack is None else float(np.abs(slack).sum())))
+        for target in targets:
+            p = problem(snapshot, False, target)
+            try:
+                out.append(_bounds(snapshot, p, target,
+                                   p.h.h.T @ beta_coeffs(target, snapshot.portfolio)))
+            except (InfeasibleRegion, UnboundedRatio, SolverError) as exc:
+                out.append(type(exc).__name__)
+    return out, max(residuals)
+
+
+def _gap(a, b):
+    """Largest difference between two `_weak_answers`; inf where they disagree in kind."""
+    worst = 0.0
+    for x, y in zip(a, b):
+        if isinstance(x, str) or isinstance(y, str):
+            worst = max(worst, 0.0 if x == y else np.inf)
+        elif isinstance(x[0], SolveStatus):
+            if x[0] is not y[0] or (x[1] is None) != (y[1] is None):
+                return np.inf
+            worst = max(worst, 0.0 if x[1] is None else abs(x[1] - y[1]))
+        else:
+            worst = max(worst, float(np.max(np.abs(np.subtract(x, y)))))
+    return worst
+
+
+def _targets(attach, detach):
+    return [_target(attach, detach, "upfront", 0.01), _target(attach, detach, "spread", 0.0)]
+
+
+def _fair_quote(snapshot, l, q):
+    """Tranche l's quote (display units) at which the law q prices it at zero value."""
+    tr = snapshot.tranches[l]
+    upfront = tr.quote_kind == "upfront"
+
+    def value(x):
+        return expected_npv(q, TrancheCoefficients.build(
+            tr, x if upfront else 0.0, tr.running_spread if upfront else x, snapshot))
+    v0 = value(0.0)
+    return -v0 / (value(1.0) - v0) * (100.0 if upfront else 1e4)
+
+
+@st.composite
+def _kinked_snapshots(draw):
+    """A pool, 2-5 tranche edges (some on integer kinks), quotes and a target.
+
+    The quotes are those of a two-point binomial mixture with the calibrated
+    means, each moved by a drawn fraction, so some lie inside the range of
+    the other quotes and some outside it; so do the optional bid/ask bands.
+    """
+    recovery = draw(st.sampled_from([0.0, 0.4]) | st.floats(0.05, 0.7))
+    n = draw(st.integers(10, 200))
+
+    def edge():
+        if draw(st.booleans()):
+            return draw(st.integers(1, n - 1)) * (1.0 - recovery) / n
+        return draw(st.floats(0.001, 0.5))
+    points = np.unique([0.0] + [edge() for _ in range(draw(st.integers(2, 5)))])
+    points = points[np.concatenate([[True], np.diff(points) > 1e-4])]
+    kinds = [draw(st.sampled_from(["upfront", "spread"])) for _ in points[1:]]
+    raw = {"index_spread_bps": draw(st.floats(20.0, 300.0)), "rate_pct": 2.0,
+           "recovery": recovery, "n_names": n,
+           "schedule": {"freq": "quarterly", "years": draw(st.sampled_from([1, 2]))},
+           "tranches": [{"attach": a, "detach": d, "quote": kind,
+                         "fixed_running_bps": 100.0, "quote_value": 0.0}
+                        for a, d, kind in zip(points[:-1], points[1:], kinds)]}
+    snap = snapshot_from_dict(raw)
+    spread = draw(st.floats(0.0, 0.9))
+    j = np.arange(n + 1)
+    q = np.array([0.5 * binom.pmf(j, n, f * (1 - spread))
+                  + 0.5 * binom.pmf(j, n, f * (1 + spread))
+                  for f in snap.curve.grid(snap.schedule)])
+    moves = st.sampled_from([0.0, 0.0, 0.01, -0.01, 0.2, -0.2])
+    bands = draw(st.booleans())
+    for l, tranche in enumerate(raw["tranches"]):
+        fair = _fair_quote(snap, l, q)
+        tranche["quote_value"] = fair * (1 + draw(moves))
+        if bands:
+            mid = fair * (1 + draw(moves))
+            half = abs(fair) * draw(st.sampled_from([0.001, 0.02]))
+            tranche["bid_value"], tranche["ask_value"] = mid - half, mid + half
+    attach = draw(st.sampled_from([0.0, 0.0, 1.0]) | st.floats(0.001, 0.3))
+    if attach == 1.0:  # on an integer kink
+        attach = draw(st.integers(1, n - 1)) * (1.0 - recovery) / n
+    detach = attach + draw(st.floats(0.005, 0.3))
+    return snapshot_from_dict(raw), _targets(attach, min(detach, 1.0))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_kinked_snapshots())
+def test_kink_states_give_the_answers_of_every_count(case):
+    # the verdicts, the total elastic slacks and the upfront and spread
+    # bounds of a target tranche over K equal those over all n + 1 counts.
+    # HiGHS meets rows only to its 1e-7 feasibility tolerance, on either
+    # polytope, and an optimum read off a point that misses its rows by more
+    # than 1e-9 is that far off too, so such a draw cannot be compared at
+    # 1e-9 (about 1 draw in 15; the all-counts LP misses more often)
+    snapshot, targets = case
+    kinks, kink_residual = _weak_answers(snapshot, _kink_states, targets)
+    every, every_residual = _weak_answers(snapshot, _all_states, targets)
+    assume(max(kink_residual, every_residual) <= 1e-9)
+    assert _gap(kinks, every) <= 1e-9, (kinks, every)
+
+
+@pytest.mark.parametrize("attach, detach, dropped", [
+    (0.04, 0.08, 6),   # the floor of the equity detachment's kink 6.25
+    (0.02, 0.10, 25),  # the integer kink 0.12 * 125 / 0.6 of the 6-12% detachment
+])
+def test_dropping_a_kink_state_changes_the_answers(snapshot, attach, detach, dropped):
+    # the oracle comparison sees a missing kink state: without it the
+    # target's bounds move
+    targets = _targets(attach, detach)
+    states = kink_states(snapshot.portfolio, list(snapshot.tranches) + targets[:1])
+    assert dropped in states
+
+    def without(snap, bid_ask, target):
+        return _over(snap, states[states != dropped], bid_ask)
+    every = _weak_answers(snapshot, _all_states, targets)[0]
+    assert _gap(_weak_answers(snapshot, _kink_states, targets)[0], every) <= 1e-9
+    assert _gap(_weak_answers(snapshot, without, targets)[0], every) > 1e-6
+
+
+def test_the_fixture_poses_the_weak_lp_on_seven_states_per_date(snapshot):
+    assert kink_states(snapshot.portfolio, snapshot.tranches).tolist() == [
+        0, 6, 7, 12, 13, 25, 125]
+    problem = WeakFeasibilityProblem.from_snapshot(snapshot)
+    assert problem.A_eq.shape[1] == problem.A_ub.shape[1] == 7 * 20
