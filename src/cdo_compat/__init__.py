@@ -25,7 +25,7 @@ from .tranche_valuation import (DimensionMismatch, NonMonotonePath,
                                 lambda_coeffs, realized_npv)
 from .weak_compat import (InfeasibleRegion, InvalidQuotes, UnboundedRatio,
                           Verdict, nonstandard_tranche_bounds, verify_weak,
-                          verify_weak_bid_ask)
+                          verify_weak_bid_ask, weak_range)
 
 __version__ = "0.1.0"
 
@@ -47,5 +47,5 @@ __all__ = [
     "snapshot_from_dict", "snapshot_to_dict", "solve_lfp", "solve_lp",
     "solve_relative_entropy", "spread_delta", "validate_dpm",
     "verify_strong_at_N", "verify_strong_bid_ask", "verify_weak",
-    "verify_weak_bid_ask",
+    "verify_weak_bid_ask", "weak_range",
 ]

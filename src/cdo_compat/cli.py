@@ -208,18 +208,45 @@ def cmd_verify_strong(snap, out_path, n_seq, resolution):
             "compatible": res.compatible,
             "final_resolution": res.final_N,
             "failing_tranche": res.failing_tranche,
+            "rule": res.rule,
+            "weak_range": None if res.weak_range is None else dict(
+                zip(("lower", "upper"), res.weak_range)),
             "ranges": [
                 {"tranche": r.tranche, "N": r.N, "lower": r.lower,
                  "upper": r.upper} for r in res.history
             ],
         }
-        lines = [f"strongly compatible: {verdict}",
-                 f"final resolution: {res.final_N}"]
+        lines = [f"strongly compatible: {verdict}"]
+        if res.rule == "weak_bound":
+            lines.append(
+                f"{_outside(snap, res.failing_tranche, res.weak_range)}, its "
+                "range over every DPM that prices the tranches before it: "
+                "no law prices the quotes at any N")
+        else:
+            lines.append(f"final resolution: {res.final_N}")
+        if res.rule == "stabilized":
+            last = res.history[-1]
+            lines.append(
+                f"{_outside(snap, last.tranche, (last.lower, last.upper))}, "
+                f"its range at N={last.N}, which stopped moving: no law up to "
+                f"N = {res.final_N} (not a proof for larger N)")
         report = (payload, lines,
                   EXIT_OK if res.compatible else EXIT_INCOMPATIBLE)
     if out_path and res.law is not None:
         dpm_to_csv(res.law, snap.schedule, out_path)
     return report
+
+
+def _outside(snap, l, bounds):
+    """Says that tranche l's quote lies outside ``bounds``, in display units."""
+    tranche = snap.tranches[l]
+    kind = tranche.quote_kind
+    quotes = snap.quotes.upfront if kind == "upfront" else snap.quotes.spread
+    entry = _bounds_payload(kind, *bounds, tranche.label)
+    units = entry["units"]
+    return (f"tranche {tranche.label} quote {_to_display(kind, quotes[l]):.4f} "
+            f"{units} lies outside [{entry['lower']:.4f}, {entry['upper']:.4f}] "
+            f"{units}")
 
 
 @_command("verify-bid-ask")

@@ -25,10 +25,11 @@ from scipy.special import betaln, gammaln
 
 from .dpm_core import DPM, AugmentedDPM
 from .market_model import PortfolioSpec
-from .opt_backend import SolverError
+from .opt_backend import SolverError, SolveStatus
 from .tranche_valuation import DimensionMismatch, beta_coeffs
-from .weak_compat import (InfeasibleRegion, Verdict, _assemble, _bounds,
-                          _Polytope, _target, _verify)
+from .weak_compat import (InfeasibleRegion, UnboundedRatio, Verdict, _assemble,
+                          _bounds, _Polytope, _target, _verify, verify_weak,
+                          weak_range)
 
 DEFAULT_N_SEQUENCE = (50, 75, 100, 125, 150, 175, 200)
 DEFAULT_EPS_SPREAD = 1e-6    # 0.01 bp, on decimals per year
@@ -133,13 +134,37 @@ class RangeRecord:
 
 @dataclass
 class IterativeResult:
-    """Outcome of the resolution-sequence verification walk."""
+    """Outcome of the resolution-sequence verification walk.
+
+    ``rule`` names what ended the walk: "accepted" (every quote in range,
+    ``law`` the generator law at ``final_N``), "weak_bound" (the failing
+    tranche's quote lies outside ``weak_range``, its range over DPMs that
+    price the tranches before it, so no law prices the quotes at any N and
+    ``final_N`` is None) or "stabilized" (the failing tranche's strong range
+    stopped moving at ``final_N`` with the quote outside it: no law up to
+    that N, which is not a proof for larger N).
+    """
 
     compatible: bool
     law: DPM | None
     final_N: int | None
     failing_tranche: int | None
+    rule: str
     history: list = field(default_factory=list)
+    weak_range: tuple | None = None
+
+
+def _weak_bound(snapshot, l):
+    """Tranche l's weak range over tranches 0..l-1, or None if it is not known.
+
+    A failed solve, an unbounded spread or an empty polytope (which the
+    strong walk has just refuted by accepting tranches 0..l-1) decides
+    nothing, so none of them is a verdict.
+    """
+    try:
+        return weak_range(snapshot, range(l), l)
+    except (SolverError, InfeasibleRegion, UnboundedRatio):
+        return None
 
 
 def iterative_verify(snapshot, N_sequence=DEFAULT_N_SEQUENCE,
@@ -148,14 +173,23 @@ def iterative_verify(snapshot, N_sequence=DEFAULT_N_SEQUENCE,
     """Walk tranches in seniority order, growing N until each quote is in range.
 
     For tranche l the range is computed over generator laws pricing tranches
-    0..l-1 exactly. A quote inside its range advances to the next tranche; a
-    quote still outside once both endpoints have stabilized (successive
-    changes below eps) proves incompatibility and reports the tranche.
+    0..l-1 exactly. A quote inside its range advances to the next tranche.
     Tranche l-1 is accepted at the first N whose range holds its quote, so
     no coarser N prices tranches 0..l-1, while a law at N lifts to one at
     every larger N with the same q. So tranche l's walk starts there, and
     the full system is solved once, at the last accepted N; an empty range
     or a failed joint solve there is a SolverError, never a verdict.
+
+    Every strong law is a DPM, so tranche l's strong ranges at every N lie
+    inside its weak range over tranches 0..l-1. When the weak elastic LP
+    finds the quotes weakly incompatible, that weak range is computed
+    before tranche l is walked; a quote outside it by more than eps proves
+    that no law prices the quotes at any N, and the walk stops there
+    (rule "weak_bound"). Otherwise a quote still outside its strong range
+    once both endpoints have stabilized (successive changes below eps)
+    stops the walk (rule "stabilized"): no law up to that N prices the
+    quotes, which is the paper's rule, not a proof. A weak LP that fails
+    leaves the walk as it would be without it.
 
     Raises IterationLimit when the sequence ends before a decision.
     """
@@ -163,6 +197,7 @@ def iterative_verify(snapshot, N_sequence=DEFAULT_N_SEQUENCE,
         raise ValueError("N_sequence must be non-empty and strictly increasing")
     if eps_spread <= 0 or eps_upfront <= 0:
         raise ValueError("stabilization tolerances must be positive")
+    weakly_incompatible = verify_weak(snapshot).status is SolveStatus.INFEASIBLE
     history = []
     accepted = N_sequence[0]
     for l, tranche in enumerate(snapshot.tranches):
@@ -170,6 +205,10 @@ def iterative_verify(snapshot, N_sequence=DEFAULT_N_SEQUENCE,
             quote, eps = snapshot.quotes.upfront[l], eps_upfront
         else:
             quote, eps = snapshot.quotes.spread[l], eps_spread
+        bound = _weak_bound(snapshot, l) if weakly_incompatible else None
+        if bound is not None and not bound[0] - eps <= quote <= bound[1] + eps:
+            return IterativeResult(False, None, None, l, "weak_bound", history,
+                                   weak_range=bound)
         prev = None
         for N in (N for N in N_sequence if N >= accepted):
             try:
@@ -182,7 +221,7 @@ def iterative_verify(snapshot, N_sequence=DEFAULT_N_SEQUENCE,
                 accepted = N
                 break
             if prev is not None and abs(lo - prev[0]) < eps and abs(hi - prev[1]) < eps:
-                return IterativeResult(False, None, N, l, history)
+                return IterativeResult(False, None, N, l, "stabilized", history)
             prev = (lo, hi)
         else:
             raise IterationLimit(
@@ -192,7 +231,7 @@ def iterative_verify(snapshot, N_sequence=DEFAULT_N_SEQUENCE,
     if not res.feasible:
         raise SolverError(f"joint solve at the accepted N={accepted}: "
                           f"{res.status.value}: {res.certificate}")
-    return IterativeResult(True, res.law, accepted, None, history)
+    return IterativeResult(True, res.law, accepted, None, "accepted", history)
 
 
 def nonstandard_names_bounds(snapshot, N, n_names, attach, detach, quote_kind,

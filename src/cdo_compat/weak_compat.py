@@ -198,17 +198,20 @@ def _assemble(cls, snapshot, h, priced, bid_ask):
 
 
 class WeakFeasibilityProblem(_Polytope):
-    """The polytope over DPM entries at the kink states, every quoted tranche priced.
+    """The polytope over DPM entries at the kink states that price quoted tranches.
 
+    ``priced`` lists the quoted tranches priced, all of them by default.
     ``target``, a tranche to bound, adds its own kinks to the states.
     """
 
     @classmethod
-    def from_snapshot(cls, snapshot, bid_ask=False, target=None):
+    def from_snapshot(cls, snapshot, bid_ask=False, target=None, priced=None):
+        if priced is None:
+            priced = range(snapshot.n_tranches)
         tranches = list(snapshot.tranches) + ([] if target is None else [target])
         h = StateSelection.of(kink_states(snapshot.portfolio, tranches),
                               snapshot.portfolio.n)
-        return _assemble(cls, snapshot, h, range(snapshot.n_tranches), bid_ask)
+        return _assemble(cls, snapshot, h, priced, bid_ask)
 
 
 @dataclass
@@ -344,9 +347,10 @@ def _bounds(snapshot, problem, target, loss):
     An up-front quote is affine in the columns, one LP per end; a running
     spread is a ratio of affine forms, one Charnes-Cooper LFP per end, whose
     denominator is the outstanding-notional annuity. A bound solve that ends
-    neither optimal nor infeasible asks `_elastic`: a quote row that needs
-    more than FEASIBILITY_TOL of slack raises InfeasibleRegion, anything
-    else SolverError.
+    other than optimal, infeasible included, asks `_elastic`: a quote row
+    that needs more than FEASIBILITY_TOL of slack raises InfeasibleRegion,
+    anything else SolverError, so a solver's "infeasible" on a polytope
+    that is not empty is never reported as one.
     """
     sched, disc = snapshot.schedule, snapshot.discount
     blocks = dict(A_ub=problem.A_ub, b_ub=problem.b_ub,
@@ -380,13 +384,10 @@ def _bounds(snapshot, problem, target, loss):
             res = solve(sense)
         except DegenerateDenominator as exc:
             raise UnboundedRatio(str(exc)) from exc
-        status = res.status
-        if status not in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
-            status = _elastic(problem)[0].status
-        if status is SolveStatus.INFEASIBLE:
-            law = "generator" if problem.generator else "DPM"
-            raise InfeasibleRegion(f"the constrained {law} polytope is empty")
         if res.status is not SolveStatus.OPTIMAL:
+            if _elastic(problem)[0].status is SolveStatus.INFEASIBLE:
+                law = "generator" if problem.generator else "DPM"
+                raise InfeasibleRegion(f"the constrained {law} polytope is empty")
             raise SolverError(f"bound solve failed: {res.status.value}: {res.message}")
         out.append(quote(res))
     return tuple(out)
@@ -409,3 +410,19 @@ def nonstandard_tranche_bounds(snapshot, attach, detach, quote_kind,
     problem = WeakFeasibilityProblem.from_snapshot(snapshot, target=target)
     return _bounds(snapshot, problem, target,
                    problem.h.h.T @ beta_coeffs(target, snapshot.portfolio))
+
+
+def weak_range(snapshot, fixed, target):
+    """Quote range of one quoted tranche over DPMs that price a fixed set.
+
+    The weak counterpart of `strong_compat.range_at_N`: ``fixed`` lists the
+    quoted tranches pinned at their market prices and ``target`` the one
+    bounded. Every strong law is a DPM, so this range holds every strong
+    range over the same set, at every N. Returns (lower, upper) in the
+    target's decimal quote units.
+    """
+    problem = WeakFeasibilityProblem.from_snapshot(
+        snapshot, priced=[l for l in fixed if l != target])
+    tranche = snapshot.tranches[target]
+    return _bounds(snapshot, problem, tranche,
+                   problem.h.h.T @ beta_coeffs(tranche, snapshot.portfolio))

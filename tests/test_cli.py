@@ -175,13 +175,49 @@ def test_verify_strong_walk_ends_without_a_traceback(runner, snapshot,
                                                      tmp_path):
     # with equity at 40% the mezzanine is accepted only at N=75; the walk
     # goes on from there, since no coarser N prices the tranches before it,
-    # and ends in a verdict on the senior tranche
+    # and ends on the senior tranche, whose quote lies outside its weak range
     raw = snapshot_to_dict(snapshot)
     raw["tranches"][0]["quote_value"] = 40.0
     res = runner.invoke(main, ["verify-strong", "-i",
                                _write_snapshot(tmp_path, raw)])
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
+    assert res.output.splitlines()[1].startswith(
+        "tranche [0.12,1] quote 27.4400 bps lies outside [19.03")
+    assert res.output.splitlines()[1].endswith(
+        "no law prices the quotes at any N")
+
+
+@pytest.mark.parametrize("senior_bps, rule, lines", [
+    (None, "accepted", ["strongly compatible: yes", "final resolution: 50"]),
+    # far above the senior tranche's weak range [27.32, 27.81] bp
+    (300.0, "weak_bound",
+     ["strongly compatible: no (tranche 3 out of range)",
+      "tranche [0.12,1] quote 300.0000 bps lies outside [27.3198, 27.8087] "
+      "bps, its range over every DPM that prices the tranches before it: no "
+      "law prices the quotes at any N"]),
+    # inside the weak range, above every strong range the walk computes;
+    # the N=50 and N=75 upper ends differ by 0.002 bp, below eps
+    (27.805, "stabilized",
+     ["strongly compatible: no (tranche 3 out of range)",
+      "final resolution: 75",
+      "tranche [0.12,1] quote 27.8050 bps lies outside [27.3245, 27.8001] "
+      "bps, its range at N=75, which stopped moving: no law up to N = 75 "
+      "(not a proof for larger N)"]),
+], ids=["fixture", "far", "stabilizing"])
+def test_verify_strong_reports_the_rule_that_ended_the_walk(
+        runner, snapshot, tmp_path, senior_bps, rule, lines):
+    raw = snapshot_to_dict(snapshot)
+    if senior_bps is not None:
+        raw["tranches"][3]["quote_value"] = senior_bps
+    argv = ["verify-strong", "-i", _write_snapshot(tmp_path, raw)]
+    res = runner.invoke(main, argv + ["--json"])
+    assert res.exit_code == (0 if rule == "accepted" else 1)
+    payload = json.loads(res.output)
+    assert payload["rule"] == rule
+    assert (payload["weak_range"] is None) == (rule != "weak_bound")
+    assert (payload["final_resolution"] is None) == (rule == "weak_bound")
+    assert runner.invoke(main, argv).output.splitlines() == lines
 
 
 def test_solver_failure_is_not_an_incompatible_verdict(runner, snapshot,

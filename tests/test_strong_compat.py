@@ -9,18 +9,19 @@ from scipy.stats import ks_2samp
 from cdo_compat.dpm_core import (DPM, InvalidDPM, dpm_from_csv, dpm_to_csv,
                                  validate_dpm)
 from cdo_compat.market_model import snapshot_from_dict, snapshot_to_dict
-from cdo_compat.opt_backend import FEASIBILITY_TOL
-from cdo_compat.strong_compat import (GammaDistortion, GeneratorSampler,
-                                      IterationLimit, h_matrix,
-                                      iterative_verify,
+from cdo_compat.opt_backend import FEASIBILITY_TOL, SolveStatus
+from cdo_compat.strong_compat import (DEFAULT_EPS_SPREAD, GammaDistortion,
+                                      GeneratorSampler, IterationLimit,
+                                      h_matrix, iterative_verify,
                                       nonstandard_names_bounds, qij_from_p,
                                       range_at_N, verify_strong_at_N,
                                       verify_strong_bid_ask)
 from cdo_compat.tranche_valuation import (DimensionMismatch,
                                           TrancheCoefficients,
                                           coefficients_for, expected_npv)
-from cdo_compat.weak_compat import (InvalidQuotes, StateSelection,
-                                    WeakFeasibilityProblem, _assemble)
+from cdo_compat.weak_compat import (InfeasibleRegion, InvalidQuotes,
+                                    StateSelection, WeakFeasibilityProblem,
+                                    _assemble, verify_weak, weak_range)
 
 QUOTES = {0: (0.28438, "upfront"), 1: (0.04531, "upfront"),
           2: (106.32e-4, "spread"), 3: (27.44e-4, "spread")}
@@ -111,6 +112,7 @@ def test_iterative_verification_accepts_the_market(snapshot):
     res = iterative_verify(snapshot)
     assert res.compatible
     assert res.failing_tranche is None
+    assert res.rule == "accepted" and res.weak_range is None
     assert res.final_N in (50, 75, 100, 125, 150, 175, 200)
     assert res.law.n == res.final_N
     assert res.history
@@ -166,9 +168,70 @@ def test_iterative_verification_pins_down_the_failing_tranche(snapshot):
     assert res.law is None
 
 
+def _moved(snapshot, tranche, value):
+    raw = snapshot_to_dict(snapshot)
+    raw["tranches"][tranche]["quote_value"] = value
+    return snapshot_from_dict(raw)
+
+
 def test_short_sequence_cannot_stabilize(snapshot):
+    # the torn snapshot's second equity quote lies outside its weak range, a
+    # proof for every N, so even a one-resolution walk decides it
+    res = iterative_verify(_torn(snapshot), N_sequence=(50,))
+    assert (res.compatible, res.failing_tranche, res.rule) == (False, 1, "weak_bound")
+    assert res.final_N is None and res.law is None
+    # 27.80 bp lies inside the senior tranche's weak range but outside its
+    # N=50 strong range, so one resolution can neither accept nor stabilize
+    snap = _moved(snapshot, 3, 27.80)
+    quote = snap.quotes.spread[3]
+    assert weak_range(snap, range(3), 3)[1] > quote
+    assert range_at_N(snap, range(3), 3, 50)[1] < quote
     with pytest.raises(IterationLimit):
-        iterative_verify(_torn(snapshot), N_sequence=(50,))
+        iterative_verify(snap, N_sequence=(50,))
+
+
+@pytest.mark.parametrize("N", (10, 50))
+def test_strong_ranges_lie_inside_the_weak_range(snapshot, N):
+    # every strong law is a DPM, so over the same priced prefix no strong
+    # range leaves the weak one; at N=10 no law prices tranches 0 and 1, so
+    # the later prefixes have no strong range there
+    checked = 0
+    for l in range(snapshot.n_tranches):
+        w_lo, w_hi = weak_range(snapshot, range(l), l)
+        try:
+            lo, hi = range_at_N(snapshot, range(l), l, N)
+        except InfeasibleRegion:
+            continue
+        assert w_lo - 1e-9 <= lo <= hi <= w_hi + 1e-9, l
+        checked += 1
+    assert checked == (2 if N == 10 else 4)
+
+
+def test_free_strong_ranges_widen_with_the_resolution(snapshot):
+    # a law at N lifts to one at 2N with the same default-count law
+    for l in range(snapshot.n_tranches):
+        lo10, hi10 = range_at_N(snapshot, [], l, 10)
+        lo20, hi20 = range_at_N(snapshot, [], l, 20)
+        assert lo20 - 1e-9 <= lo10 <= hi10 <= hi20 + 1e-9, l
+
+
+# The far moves of the senior tranche and the moves that perfbench keeps as
+# known failing: each is weakly incompatible, and the senior quote lies
+# outside its weak range over the tranches before it.
+WEAKLY_INCOMPATIBLE_MOVES = ((3, 80.0), (3, 300.0), (0, 28.1), (0, 30.0),
+                             (2, 125.0), (0, 16.706295424899928), (0, 40.0))
+
+
+@pytest.mark.parametrize("tranche, value", WEAKLY_INCOMPATIBLE_MOVES)
+def test_weakly_incompatible_walks_end_on_the_weak_bound(snapshot, tranche, value):
+    snap = _moved(snapshot, tranche, value)
+    assert verify_weak(snap).status is SolveStatus.INFEASIBLE
+    res = iterative_verify(snap)
+    assert (res.compatible, res.failing_tranche, res.rule) == (False, 3, "weak_bound")
+    assert res.final_N is None and res.law is None
+    assert {r.tranche for r in res.history} == {0, 1, 2}
+    lo, hi = res.weak_range
+    assert not lo - DEFAULT_EPS_SPREAD <= snap.quotes.spread[3] <= hi + DEFAULT_EPS_SPREAD
 
 
 def test_iterative_verification_rejects_bad_controls(snapshot):

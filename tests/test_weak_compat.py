@@ -239,6 +239,29 @@ def test_bounds_on_infeasible_quotes_raise(snapshot):
         nonstandard_tranche_bounds(torn, 0.0, 0.05, "spread")
 
 
+@pytest.mark.parametrize("kind, backend", [("upfront", "solve_lp"),
+                                           ("spread", "solve_lfp")])
+def test_a_bound_solve_that_says_infeasible_is_checked(snapshot, monkeypatch,
+                                                       kind, backend):
+    # the fixture's polytope is not empty: a bound solve that reports status
+    # 2 anyway is confirmed with the elastic LP, which needs no slack, so it
+    # is a solver failure, not an empty region
+    real = getattr(opt_backend, backend)
+    calls = []
+
+    def first_says_infeasible(*args, **kwargs):
+        calls.append(backend)
+        if len(calls) == 1:
+            return opt_backend.SolveResult(SolveStatus.INFEASIBLE,
+                                           message="forced status 2")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(opt_backend, backend, first_says_infeasible)
+    with pytest.raises(SolverError, match="forced status 2"):
+        nonstandard_tranche_bounds(snapshot, 0.04, 0.08, kind,
+                                   fixed_running=0.01)
+
+
 def test_bounds_reject_bad_inputs(snapshot):
     with pytest.raises(ValueError):
         nonstandard_tranche_bounds(snapshot, 0.05, 0.03, "spread")
