@@ -101,10 +101,6 @@ class PortfolioSpec:
         if self.recovery >= 1.0:
             raise InvalidRecovery(f"recovery {self.recovery} leaves no loss")
 
-    @property
-    def notional_per_name(self):
-        return 1.0 / self.n
-
 
 @dataclass(frozen=True)
 class TrancheSpec:

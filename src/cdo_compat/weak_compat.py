@@ -174,13 +174,31 @@ class _Polytope:
 
 
 def _assemble(cls, snapshot, h, priced, bid_ask):
-    """Equalities are marginals then pricing; inequalities monotonicity then bands."""
+    """Equalities are marginals then pricing; inequalities monotonicity then bands.
+
+    Each monotonicity row takes the shorter of two equal forms over the S
+    states of a date. One is `monotonicity_block`'s tail-sum difference
+    Theta_{i,j} - Theta_{i+1,j} over states j..S-1. Where j < S - j, the
+    row less the difference of dates i and i+1's unit-row-sum rows is
+    shorter: the head-sum difference H_{i+1,j} - H_{i,j} over states
+    0..j-1. So row j has min(j, S - j) entries per date, and on the
+    fixture's 20 dates the block has 96,900 nonzeros at N=100 (191,900 in
+    tail form) and 383,800 at N=200 (763,800). The forms agree on every
+    point whose date rows share one sum: mid-quote and elastic LPs keep
+    the unit row sums exact, and the Charnes-Cooper LFP's y = t x gives
+    each date row the sum t. So the polytope, its optima and its verdicts
+    are those of the tail form.
+    """
     m = snapshot.schedule.m
     states = h.states
     size = len(states) - 1
     A_marg, b_marg = marginal_blocks(
         m, size, states[-1] * snapshot.curve.grid(snapshot.schedule), states)
-    A_mono, b_mono = monotonicity_block(m, size)
+    # one date's rows: ones on states j..S-1, less its row sum where j < S - j
+    j, k = np.arange(1, size + 1)[:, None], np.arange(size + 1)
+    per_date = (k >= j) - 1.0 * (j < size + 1 - j)
+    A_mono = sp.kron(sp.eye(m - 1, m) - sp.eye(m - 1, m, k=1), per_date, format="csr")
+    b_mono = np.zeros(A_mono.shape[0])
     eq_rows, eq_rhs = [A_marg], [b_marg]
     ub_rows, ub_rhs = [A_mono], [b_mono]
     constraints = _quote_constraints(snapshot, priced, bid_ask)

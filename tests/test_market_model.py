@@ -54,7 +54,6 @@ def test_flat_discount_curve():
 def test_recovery_validation():
     with pytest.raises(InvalidRecovery):
         PortfolioSpec(125, 1.0)
-    assert PortfolioSpec(125, 0.4).notional_per_name == pytest.approx(1 / 125)
 
 
 def test_tranche_spec_validation():

@@ -13,7 +13,8 @@ from cdo_compat import opt_backend
 from cdo_compat.dpm_core import tail_sums, validate_dpm
 from cdo_compat.market_model import snapshot_from_dict, snapshot_to_dict
 from cdo_compat.opt_backend import SolverError, SolveStatus
-from cdo_compat.strong_compat import verify_strong_at_N, verify_strong_bid_ask
+from cdo_compat.strong_compat import (StrongFeasibilityProblem, verify_strong_at_N,
+                                      verify_strong_bid_ask)
 from cdo_compat.tranche_valuation import (TrancheCoefficients, beta_coeffs,
                                           coefficients_for, expected_npv)
 from cdo_compat.weak_compat import (InfeasibleRegion, InvalidQuotes,
@@ -199,6 +200,36 @@ def test_monotonicity_block_signs():
     # one date leaves nothing to compare
     a_one, b_one = monotonicity_block(1, n)
     assert a_one.shape == (0, n + 1) and b_one.shape == (0,)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(strong=st.booleans(), N=st.integers(2, 60), seed=st.integers(0, 2**32 - 1),
+       t=st.sampled_from([1.0, 0.0, 0.37, 4.0]) | st.floats(0.01, 10.0))
+def test_assembled_monotonicity_rows_equal_the_tail_rows_and_are_shorter(
+        snapshot, strong, N, seed, t):
+    # on points whose date rows share one sum t, as mid-quote and elastic
+    # LPs (t = 1) and Charnes-Cooper LFPs (t > 0) keep them, each assembled
+    # row is its tail-sum row; row j has min(j, S - j) entries per date
+    rng = np.random.default_rng(seed)
+    n = snapshot.portfolio.n
+    problem = (StrongFeasibilityProblem.from_snapshot(snapshot, N) if strong else
+               _over(snapshot, np.union1d([0, n], rng.choice(n + 1, N, replace=False))))
+    m, S = problem.m, problem.A_ub.shape[1] // problem.m
+    tail, zeros = monotonicity_block(m, S - 1)
+    rows = problem.A_ub[:tail.shape[0]]
+    np.testing.assert_array_equal(problem.b_ub[:tail.shape[0]], zeros)
+    x = rng.random((m, S))
+    x *= t / x.sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(rows @ x.ravel(), tail @ x.ravel(), rtol=0, atol=1e-12)
+    j = np.tile(np.arange(1, S), m - 1)
+    np.testing.assert_array_equal(np.diff(rows.indptr), 2 * np.minimum(j, S - j))
+
+
+def test_the_strong_n100_polytope_has_half_the_monotonicity_nonzeros(snapshot):
+    problem = StrongFeasibilityProblem.from_snapshot(snapshot, 100)
+    m = problem.m
+    assert monotonicity_block(m, 100)[0].nnz == 191_900
+    assert problem.A_ub[:(m - 1) * 100].nnz == 96_900
 
 
 def test_marginal_blocks_reproduce_row_sums_and_means():
