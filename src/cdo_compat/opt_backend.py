@@ -8,10 +8,12 @@ its inputs alone. The relative-entropy program is solved on its dual by
 projected Newton, with the primal recovered in closed form. Each Newton
 system H d = r, H = A_F Q A_F' over the free rows, is factored as
 (D A_F) Q (D A_F)' y = D r, d = D'y, where D subtracts each free inequality
-row from the next. D is invertible, so the step is exact for any A; on
-the nested tail-sum rows of an m-date, n-name DPM, D A_F has about two
-nonzeros per row, so the factored matrix holds O(m n) nonzeros, not the
-O(m n^2) of H.
+row from the next. D is invertible, so the step is exact for any A. The
+monotonicity rows of `weak_compat.structure_rows` (m dates of S states)
+come per date pair as nested head rows, then nested tail rows. Two
+consecutive rows of one kind differ in one state per date, two nonzeros;
+the difference at the head/tail switch holds 2(S - 1), once per date
+pair. So the factored matrix holds O(m S) nonzeros, not the O(m S^2) of H.
 """
 
 from __future__ import annotations
@@ -197,8 +199,10 @@ def _newton_direction(A, A_sq, q, g, v, n_eq):
     an identity block), the step solves
     (D_F A_F) Q (D_F A_F)' y + ridge D_F D_F' y = D_F r and takes
     d = D_F'y. D_F is invertible, so this is the same step for any A; on
-    nested tail-sum rows D_F A_F has about two nonzeros per row, so the
-    factor holds O(m n) nonzeros where H_F holds O(m n^2). Both terms come
+    the nested head and tail rows of `weak_compat.structure_rows` D_F A_F
+    has two nonzeros per row but for one row of 2(S - 1) per date pair at
+    the head/tail switch, so the factor holds O(m S) nonzeros where H_F
+    holds O(m S^2). Both terms come
     from one product, E [A, I] = D_F [A_F, I_F] with E = D_F P_F
     (``_row_differences``), its identity columns weighted by the ridge. A
     re-solve drops the rows sent to zero by summing runs of its rows
@@ -302,8 +306,8 @@ def solve_relative_entropy(reference, A_eq, b_eq, A_ub=None, b_ub=None):
     Each Newton system is factored in differenced rows (see
     ``_newton_direction``): D, which subtracts each free inequality row
     from the next, is invertible, so the step is the one H_F d = r gives,
-    while on the nested tail-sum rows of a DPM polytope the factored matrix
-    has O(m n) nonzeros instead of the O(m n^2) of H_F.
+    while on the monotonicity rows of `weak_compat.structure_rows` the
+    factored matrix has O(m S) nonzeros instead of the O(m S^2) of H_F.
     """
     start = time.perf_counter()
     reference = np.asarray(reference, float).ravel()

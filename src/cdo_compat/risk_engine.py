@@ -27,7 +27,7 @@ from .strong_compat import (GammaDistortion, GeneratorSampler, h_matrix,
                             qij_from_p)
 from .tranche_valuation import (DimensionMismatch, coefficients_for,
                                 expected_npv)
-from .weak_compat import marginal_blocks, monotonicity_block
+from .weak_compat import structure_rows
 
 PRICE_CHECK_TOL = 1e-6
 QUANTILE_LEVELS = (1, 5, 50, 95, 99)
@@ -43,8 +43,9 @@ class InfeasibleConstraints(RuntimeError):
 def posterior_dpm(prior, shifted_curve, sched):
     """Minimum relative entropy update of a prior DPM to bumped marginals.
 
-    Constraints: unit rows, per-date means n F~(T_i) from the shifted curve,
-    and non-decreasing tail sums. The reference measure is the prior with an
+    Constraints: the LPs' structure rows (`weak_compat.structure_rows`):
+    unit rows, per-date means n F~(T_i) from the shifted curve, and
+    non-decreasing tail sums. The reference measure is the prior with an
     EPS_REG floor so zero prior cells stay essentially forbidden rather than
     undefined. The entropy solve starts at zero multipliers. Returns the
     posterior DPM and the solver record: Newton steps (``iterations``), dual
@@ -52,9 +53,8 @@ def posterior_dpm(prior, shifted_curve, sched):
     solve's wall time (``wall_s``).
     """
     m, n = prior.m, prior.n
-    means = prior.n * shifted_curve.grid(sched)
-    A_eq, b_eq = marginal_blocks(m, n, means)
-    A_ub, b_ub = monotonicity_block(m, n)
+    A_eq, b_eq, A_ub, b_ub = structure_rows(m, np.arange(n + 1.0),
+                                            n * shifted_curve.grid(sched))
     res = opt_backend.solve_relative_entropy(
         (prior.q + EPS_REG).ravel(), A_eq, b_eq, A_ub=A_ub, b_ub=b_ub)
     if res.status is SolveStatus.INFEASIBLE:

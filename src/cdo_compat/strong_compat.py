@@ -27,9 +27,8 @@ from .dpm_core import DPM, AugmentedDPM
 from .market_model import PortfolioSpec
 from .opt_backend import SolverError, SolveStatus
 from .tranche_valuation import DimensionMismatch, beta_coeffs
-from .weak_compat import (InfeasibleRegion, UnboundedRatio, Verdict, _assemble,
-                          _bounds, _Polytope, _target, _verify, verify_weak,
-                          weak_range)
+from .weak_compat import (InfeasibleRegion, UnboundedRatio, _assemble, _bounds,
+                          _Polytope, _target, _verify, verify_weak, weak_range)
 
 DEFAULT_N_SEQUENCE = (50, 75, 100, 125, 150, 175, 200)
 DEFAULT_EPS_SPREAD = 1e-6    # 0.01 bp, on decimals per year
@@ -51,11 +50,6 @@ class HCoefficients:
     h: np.ndarray
     n: int
     N: int
-
-    @property
-    def states(self):
-        """Generator state k of each column; state N is the whole pool."""
-        return np.arange(self.N + 1.0)
 
 
 @lru_cache(maxsize=64)
@@ -94,20 +88,20 @@ class StrongFeasibilityProblem(_Polytope):
     def from_snapshot(cls, snapshot, N, priced=None, bid_ask=False):
         if priced is None:
             priced = range(snapshot.n_tranches)
-        return _assemble(cls, snapshot, h_matrix(snapshot.portfolio.n, N),
-                         priced, bid_ask)
+        return _assemble(cls, snapshot, h_matrix(snapshot.portfolio.n, N).h,
+                         np.arange(N + 1.0), priced, bid_ask)
 
 
 def verify_strong_at_N(snapshot, N):
     """Decide resolution-N strong compatibility; Feasible carries the generator law."""
     problem = StrongFeasibilityProblem.from_snapshot(snapshot, N)
-    return Verdict(*_verify(snapshot, problem, bid_ask=False))
+    return _verify(snapshot, problem, bid_ask=False)
 
 
 def verify_strong_bid_ask(snapshot, N):
     """Strong compatibility against two-sided quotes at resolution N."""
     problem = StrongFeasibilityProblem.from_snapshot(snapshot, N, bid_ask=True)
-    return Verdict(*_verify(snapshot, problem, bid_ask=True))
+    return _verify(snapshot, problem, bid_ask=True)
 
 
 def range_at_N(snapshot, fixed, target, N):
@@ -121,7 +115,7 @@ def range_at_N(snapshot, fixed, target, N):
     problem = StrongFeasibilityProblem.from_snapshot(snapshot, N, priced=fixed)
     tranche = snapshot.tranches[target]
     return _bounds(snapshot, problem, tranche,
-                   problem.h.h.T @ beta_coeffs(tranche, snapshot.portfolio))
+                   problem.H.T @ beta_coeffs(tranche, snapshot.portfolio))
 
 
 @dataclass
@@ -167,9 +161,7 @@ def _weak_bound(snapshot, l):
         return None
 
 
-def iterative_verify(snapshot, N_sequence=DEFAULT_N_SEQUENCE,
-                     eps_spread=DEFAULT_EPS_SPREAD,
-                     eps_upfront=DEFAULT_EPS_UPFRONT):
+def iterative_verify(snapshot, N_sequence=DEFAULT_N_SEQUENCE):
     """Walk tranches in seniority order, growing N until each quote is in range.
 
     For tranche l the range is computed over generator laws pricing tranches
@@ -183,7 +175,8 @@ def iterative_verify(snapshot, N_sequence=DEFAULT_N_SEQUENCE,
     Every strong law is a DPM, so tranche l's strong ranges at every N lie
     inside its weak range over tranches 0..l-1. When the weak elastic LP
     finds the quotes weakly incompatible, that weak range is computed
-    before tranche l is walked; a quote outside it by more than eps proves
+    before tranche l is walked; a quote outside it by more than eps
+    (DEFAULT_EPS_SPREAD or DEFAULT_EPS_UPFRONT, by quote kind) proves
     that no law prices the quotes at any N, and the walk stops there
     (rule "weak_bound"). Otherwise a quote still outside its strong range
     once both endpoints have stabilized (successive changes below eps)
@@ -195,16 +188,14 @@ def iterative_verify(snapshot, N_sequence=DEFAULT_N_SEQUENCE,
     """
     if len(N_sequence) == 0 or any(b <= a for a, b in zip(N_sequence, N_sequence[1:])):
         raise ValueError("N_sequence must be non-empty and strictly increasing")
-    if eps_spread <= 0 or eps_upfront <= 0:
-        raise ValueError("stabilization tolerances must be positive")
     weakly_incompatible = verify_weak(snapshot).status is SolveStatus.INFEASIBLE
     history = []
     accepted = N_sequence[0]
     for l, tranche in enumerate(snapshot.tranches):
         if tranche.quote_kind == "upfront":
-            quote, eps = snapshot.quotes.upfront[l], eps_upfront
+            quote, eps = snapshot.quotes.upfront[l], DEFAULT_EPS_UPFRONT
         else:
-            quote, eps = snapshot.quotes.spread[l], eps_spread
+            quote, eps = snapshot.quotes.spread[l], DEFAULT_EPS_SPREAD
         bound = _weak_bound(snapshot, l) if weakly_incompatible else None
         if bound is not None and not bound[0] - eps <= quote <= bound[1] + eps:
             return IterativeResult(False, None, None, l, "weak_bound", history,

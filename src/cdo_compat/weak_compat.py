@@ -18,10 +18,11 @@ its image over K meet the same rows, every law over K is one over all
 counts, and the LPs over K have the same verdicts, optima and elastic
 slacks as over all n + 1 counts.
 
-This module assembles that polytope once for both maps: unit row sums,
-marginal means sum_c s_c p_ic = s_last F(T_i) over the columns' state
-values s (the last state is the whole pool), non-decreasing tail sums,
-non-negativity, and one pricing row ``outer(lambda, H' beta)`` per quote,
+This module assembles that polytope once for both maps: the structure
+rows of `structure_rows`, which the hedge's entropy program shares (unit
+row sums, marginal means sum_c s_c p_ic = s_last F(T_i) over the columns'
+state values s, the last state the whole pool, and non-decreasing tail
+sums), non-negativity, and one pricing row ``outer(lambda, H' beta)`` per quote,
 an equality at a mid quote or a pair of inequalities for a bid/ask band.
 Both questions share the rest too: the elastic decision LP, which gives
 each quote row a non-negative slack and minimizes their total, with its
@@ -62,29 +63,33 @@ class UnboundedRatio(RuntimeError):
     """The spread program's denominator can collapse on the feasible region."""
 
 
-def monotonicity_block(m, n):
-    """Sparse rows for Theta_{i,j} <= Theta_{i+1,j}, i = 1..m-1, j = 1..n.
+def structure_rows(m, states, means):
+    """The rows every program shares over m dates of one column per state.
 
-    A date difference (row i: +1 at date i, -1 at date i+1) times the
-    per-date tail-sum operator (row j: ones on states j..n).
+    ``states`` holds each column's state value s_c, ``means`` the m
+    marginal means. Returns ``(A_eq, b_eq, A_ub, b_ub)``: the unit row
+    sums and the means sum_c s_c x_ic = means_i as equalities, and the
+    non-decreasing tail sums as inequalities. Row (i, j) of A_ub takes the
+    shorter of two equal forms over the S states of a date. One is the
+    tail-sum difference Theta_{i,j} - Theta_{i+1,j} over states j..S-1.
+    Where j < S - j, the row less the difference of dates i and i+1's
+    unit-row-sum rows is shorter: date i+1's sum over states 0..j-1 less
+    date i's. So row j has min(j, S - j) entries per date, and on 20
+    dates the block has 96,900 nonzeros at S = 101 (191,900 in tail form).
+    The forms agree on every point whose date rows share one sum: the unit
+    row sums hold it at 1 in the LPs and the entropy program, and the
+    Charnes-Cooper LFP's y = t x gives each date row the sum t.
     """
-    A = sp.kron(sp.eye(m - 1, m) - sp.eye(m - 1, m, k=1),
-                np.triu(np.ones((n, n + 1)), k=1), format="csr")
-    return A, np.zeros(A.shape[0])
-
-
-def marginal_blocks(m, n, marginal_means, states=None):
-    """Row-sum and mean equality rows: sum_j q_ij = 1, sum_j s_j q_ij = mean_i.
-
-    ``states`` holds the value s_j of each of the n + 1 columns, j itself
-    by default.
-    """
+    S = len(states)
     dates = sp.eye(m)
-    A = sp.vstack([sp.kron(dates, np.ones(n + 1)),
-                   sp.kron(dates, np.arange(n + 1.0) if states is None else states)],
-                  format="csr")
-    A.eliminate_zeros()  # the j = 0 mean coefficients
-    return A, np.concatenate([np.ones(m), marginal_means])
+    A_eq = sp.vstack([sp.kron(dates, np.ones(S)), sp.kron(dates, states)],
+                     format="csr")
+    A_eq.eliminate_zeros()  # the state-0 mean coefficients
+    # one date's rows: ones on states j..S-1, less its row sum where j < S - j
+    j, k = np.arange(1, S)[:, None], np.arange(S)
+    per_date = (k >= j) - 1.0 * (j < S - j)
+    A_ub = sp.kron(sp.eye(m - 1, m) - sp.eye(m - 1, m, k=1), per_date, format="csr")
+    return A_eq, np.concatenate([np.ones(m), means]), A_ub, np.zeros(A_ub.shape[0])
 
 
 def kink_states(portfolio, tranches):
@@ -100,23 +105,6 @@ def kink_states(portfolio, tranches):
     x = x * n / (1.0 - portfolio.recovery)
     x = x[(x > 0) & (x < n)]
     return np.unique(np.concatenate([[0, n], np.floor(x), np.ceil(x)]).astype(int))
-
-
-@dataclass(frozen=True)
-class StateSelection:
-    """The weak column map: H selects the default counts ``states`` (K).
-
-    ``h`` is the (n + 1) x |K| matrix with a one at (K_c, c), so q = p h'
-    puts column c of p at count K_c and H' beta = beta[K]. K = 0..n is the
-    identity, the polytope over every count.
-    """
-
-    h: np.ndarray
-    states: np.ndarray
-
-    @classmethod
-    def of(cls, states, n):
-        return cls(np.eye(n + 1)[:, states], np.asarray(states, float))
 
 
 def _check_not_crossed(tranche, bid, ask, l):
@@ -154,12 +142,12 @@ def _quote_constraints(snapshot, priced, bid_ask):
 class _Polytope:
     """Constraint blocks A_eq x = b_eq, A_ub x <= b_ub, x >= 0 of one snapshot.
 
-    ``x`` holds m rows of one column per state; ``h`` is the column map, a
-    `StateSelection` or the h coefficients, whose ``h`` is the matrix H and
-    whose ``states`` are the columns' values. ``generator`` says whether
-    the columns' law p is the certificate (a generator law) or q = p H' is.
-    The last ``n_quotes`` rows of A_ub (``bands``) or of A_eq (mid quotes)
-    are the quote rows.
+    ``x`` holds m rows of one column per state: column c has the state
+    value ``states[c]`` and maps onto the default counts through column c
+    of the (n + 1)-row matrix ``H``, q = p H'. ``generator`` says whether
+    the columns' law p is the certificate (a generator law) or q is. The
+    last ``n_quotes`` rows of A_ub (``bands``) or of A_eq (mid quotes) are
+    the quote rows.
     """
 
     A_eq: object
@@ -167,43 +155,27 @@ class _Polytope:
     A_ub: object
     b_ub: np.ndarray
     m: int
-    h: object
+    H: np.ndarray
+    states: np.ndarray
     n_quotes: int
     bands: bool
     generator = False
 
 
-def _assemble(cls, snapshot, h, priced, bid_ask):
-    """Equalities are marginals then pricing; inequalities monotonicity then bands.
+def _assemble(cls, snapshot, H, states, priced, bid_ask):
+    """`structure_rows` (the last state is the whole pool), then the quote rows.
 
-    Each monotonicity row takes the shorter of two equal forms over the S
-    states of a date. One is `monotonicity_block`'s tail-sum difference
-    Theta_{i,j} - Theta_{i+1,j} over states j..S-1. Where j < S - j, the
-    row less the difference of dates i and i+1's unit-row-sum rows is
-    shorter: the head-sum difference H_{i+1,j} - H_{i,j} over states
-    0..j-1. So row j has min(j, S - j) entries per date, and on the
-    fixture's 20 dates the block has 96,900 nonzeros at N=100 (191,900 in
-    tail form) and 383,800 at N=200 (763,800). The forms agree on every
-    point whose date rows share one sum: mid-quote and elastic LPs keep
-    the unit row sums exact, and the Charnes-Cooper LFP's y = t x gives
-    each date row the sum t. So the polytope, its optima and its verdicts
-    are those of the tail form.
+    Equalities are the marginals then the mid quotes; inequalities the
+    monotonicity rows then the bands.
     """
     m = snapshot.schedule.m
-    states = h.states
-    size = len(states) - 1
-    A_marg, b_marg = marginal_blocks(
-        m, size, states[-1] * snapshot.curve.grid(snapshot.schedule), states)
-    # one date's rows: ones on states j..S-1, less its row sum where j < S - j
-    j, k = np.arange(1, size + 1)[:, None], np.arange(size + 1)
-    per_date = (k >= j) - 1.0 * (j < size + 1 - j)
-    A_mono = sp.kron(sp.eye(m - 1, m) - sp.eye(m - 1, m, k=1), per_date, format="csr")
-    b_mono = np.zeros(A_mono.shape[0])
-    eq_rows, eq_rhs = [A_marg], [b_marg]
-    ub_rows, ub_rhs = [A_mono], [b_mono]
+    A_eq, b_eq, A_ub, b_ub = structure_rows(
+        m, states, states[-1] * snapshot.curve.grid(snapshot.schedule))
+    eq_rows, eq_rhs = [A_eq], [b_eq]
+    ub_rows, ub_rhs = [A_ub], [b_ub]
     constraints = _quote_constraints(snapshot, priced, bid_ask)
     for coeffs, side in constraints:
-        row = np.outer(coeffs.lam, h.h.T @ coeffs.beta).ravel()
+        row = np.outer(coeffs.lam, H.T @ coeffs.beta).ravel()
         if side == 0:
             eq_rows.append(sp.csr_matrix(row[None, :]))
             eq_rhs.append(np.array([coeffs.gamma]))
@@ -212,7 +184,7 @@ def _assemble(cls, snapshot, h, priced, bid_ask):
             ub_rhs.append(np.array([side * coeffs.gamma]))
     return cls(A_eq=sp.vstack(eq_rows, format="csr"), b_eq=np.concatenate(eq_rhs),
                A_ub=sp.vstack(ub_rows, format="csr"), b_ub=np.concatenate(ub_rhs),
-               m=m, h=h, n_quotes=len(constraints), bands=bid_ask)
+               m=m, H=H, states=states, n_quotes=len(constraints), bands=bid_ask)
 
 
 class WeakFeasibilityProblem(_Polytope):
@@ -227,9 +199,9 @@ class WeakFeasibilityProblem(_Polytope):
         if priced is None:
             priced = range(snapshot.n_tranches)
         tranches = list(snapshot.tranches) + ([] if target is None else [target])
-        h = StateSelection.of(kink_states(snapshot.portfolio, tranches),
-                              snapshot.portfolio.n)
-        return _assemble(cls, snapshot, h, priced, bid_ask)
+        states = kink_states(snapshot.portfolio, tranches)
+        return _assemble(cls, snapshot, np.eye(snapshot.portfolio.n + 1)[:, states],
+                         states.astype(float), priced, bid_ask)
 
 
 @dataclass
@@ -307,7 +279,7 @@ def _largest_slack(snapshot, slack, bid_ask):
 def _verify(snapshot, problem, bid_ask):
     """Decide with the elastic LP and check its point as a certificate.
 
-    Returns ``(status, law, message, slack)``, see `Verdict`. The point is
+    Returns the `Verdict`. The point is
     repaired, validated as a law, mapped onto q = p H' and repriced against
     every quote; one that fails validation or misses a quote by more
     than FEASIBILITY_TOL is a solver failure, never a verdict.
@@ -318,39 +290,40 @@ def _verify(snapshot, problem, bid_ask):
         slack = [float(s) * (side or 1) + 0.0
                  for s, (_, side) in zip(slack, constraints)]
     if res.status is SolveStatus.INFEASIBLE:
-        return (SolveStatus.INFEASIBLE, None,
-                f"{res.message}; {_largest_slack(snapshot, slack, bid_ask)}", slack)
+        return Verdict(SolveStatus.INFEASIBLE, None,
+                       f"{res.message}; {_largest_slack(snapshot, slack, bid_ask)}",
+                       slack)
     if res.status is not SolveStatus.FEASIBLE:
-        return SolveStatus.NUMERICAL_FAILURE, None, res.message, None
+        return Verdict(SolveStatus.NUMERICAL_FAILURE, None, res.message, None)
     try:
         law = DPM(repair_structure(res.x.reshape(problem.m, -1)))
-        dpm = DPM(law.q @ problem.h.h.T)
+        dpm = DPM(law.q @ problem.H.T)
     except InvalidDPM as exc:
-        return (SolveStatus.NUMERICAL_FAILURE, None,
-                f"solution failed validation: {exc}", None)
+        return Verdict(SolveStatus.NUMERICAL_FAILURE, None,
+                       f"solution failed validation: {exc}", None)
     worst = 0.0
     for coeffs, side in constraints:
         v = expected_npv(dpm, coeffs)
         worst = max(worst, side * v if side else abs(v))
     if worst > opt_backend.FEASIBILITY_TOL:
         what = "violates a quote band" if bid_ask else "misprices a tranche"
-        return (SolveStatus.NUMERICAL_FAILURE, None,
-                f"solution {what} by {worst:.3e}", None)
+        return Verdict(SolveStatus.NUMERICAL_FAILURE, None,
+                       f"solution {what} by {worst:.3e}", None)
     what = "band violation" if bid_ask else "repricing error"
-    return (SolveStatus.FEASIBLE, law if problem.generator else dpm,
-            f"{res.message}; worst {what} {worst:.3e}", slack)
+    return Verdict(SolveStatus.FEASIBLE, law if problem.generator else dpm,
+                   f"{res.message}; worst {what} {worst:.3e}", slack)
 
 
 def verify_weak(snapshot):
     """Decide weak compatibility; a Feasible result carries a certifying DPM."""
     problem = WeakFeasibilityProblem.from_snapshot(snapshot)
-    return Verdict(*_verify(snapshot, problem, bid_ask=False))
+    return _verify(snapshot, problem, bid_ask=False)
 
 
 def verify_weak_bid_ask(snapshot):
     """Weak compatibility with two-sided quotes: v(bid) >= 0 >= v(ask) per tranche."""
     problem = WeakFeasibilityProblem.from_snapshot(snapshot, bid_ask=True)
-    return Verdict(*_verify(snapshot, problem, bid_ask=True))
+    return _verify(snapshot, problem, bid_ask=True)
 
 
 def _target(attach, detach, quote_kind, fixed_running):
@@ -427,7 +400,7 @@ def nonstandard_tranche_bounds(snapshot, attach, detach, quote_kind,
     target = _target(attach, detach, quote_kind, fixed_running)
     problem = WeakFeasibilityProblem.from_snapshot(snapshot, target=target)
     return _bounds(snapshot, problem, target,
-                   problem.h.h.T @ beta_coeffs(target, snapshot.portfolio))
+                   problem.H.T @ beta_coeffs(target, snapshot.portfolio))
 
 
 def weak_range(snapshot, fixed, target):
@@ -443,4 +416,4 @@ def weak_range(snapshot, fixed, target):
         snapshot, priced=[l for l in fixed if l != target])
     tranche = snapshot.tranches[target]
     return _bounds(snapshot, problem, tranche,
-                   problem.h.h.T @ beta_coeffs(tranche, snapshot.portfolio))
+                   problem.H.T @ beta_coeffs(tranche, snapshot.portfolio))

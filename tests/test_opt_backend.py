@@ -10,7 +10,9 @@ from cdo_compat.opt_backend import (_HESS_RIDGE, DegenerateDenominator,
                                     LinearProgram, SolveStatus,
                                     _newton_direction, solve_lfp, solve_lp,
                                     solve_relative_entropy)
-from cdo_compat.weak_compat import monotonicity_block
+from cdo_compat.weak_compat import structure_rows
+
+from conftest import tail_rows
 
 
 def test_lp_min_and_max_on_a_triangle():
@@ -146,13 +148,16 @@ def _newton_instance(rng, kind):
     """A dual point over unit row sums plus one kind of inequality rows.
 
     ``tail``: the nested tail-sum monotonicity rows of an m-date, n-name
-    DPM; ``shuffled``: the same rows in random order; ``random``: Gaussian
-    rows. Every A has full row rank, so the dense reference is well posed.
+    DPM; ``structure``: the same rows in `structure_rows`' shorter form;
+    ``shuffled``: the tail rows in random order; ``random``: Gaussian rows.
+    Every A has full row rank, so the dense reference is well posed.
     """
     m, n = int(rng.integers(2, 5)), int(rng.integers(2, 7))
     A_eq = np.kron(np.eye(m), np.ones(n + 1))
-    A_ub = monotonicity_block(m, n)[0].toarray()
-    if kind == "shuffled":
+    A_ub = tail_rows(m, n).toarray()
+    if kind == "structure":
+        A_ub = structure_rows(m, np.arange(n + 1.0), np.zeros(m))[2].toarray()
+    elif kind == "shuffled":
         A_ub = A_ub[rng.permutation(len(A_ub))]
     elif kind == "random":
         A_ub = rng.standard_normal(A_ub.shape)
@@ -203,7 +208,7 @@ def _assert_same_direction(A, q, g, v, n_eq, ref):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1),
-       st.sampled_from(["tail", "shuffled", "random"]))
+       st.sampled_from(["tail", "structure", "shuffled", "random"]))
 def test_newton_direction_solves_the_undifferenced_system(seed, kind):
     # the step is factored in differenced rows; D is invertible, so it must
     # be the step H_F d = r gives for any row order and any rows
@@ -213,7 +218,7 @@ def test_newton_direction_solves_the_undifferenced_system(seed, kind):
     _assert_same_direction(*instance, ref)
 
 
-@pytest.mark.parametrize("kind", ["tail", "shuffled", "random"])
+@pytest.mark.parametrize("kind", ["tail", "structure", "shuffled", "random"])
 def test_newton_direction_after_a_multiplier_crosses_zero(kind):
     rng = np.random.default_rng(11)
     for _ in range(100):

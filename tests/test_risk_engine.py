@@ -7,13 +7,17 @@ import json
 import numpy as np
 import pytest
 
-from cdo_compat.dpm_core import DPM
+from cdo_compat.dpm_core import DPM, repair_structure
 from cdo_compat.market_model import calibrate_hazard
-from cdo_compat.risk_engine import (_format_rows, _nested_binomial_counts,
-                                    posterior_dpm, read_samples, simulate_npv,
-                                    spread_delta)
+from cdo_compat.opt_backend import SolveStatus, solve_relative_entropy
+from cdo_compat.risk_engine import (EPS_REG, _format_rows,
+                                    _nested_binomial_counts, posterior_dpm,
+                                    read_samples, simulate_npv, spread_delta)
 from cdo_compat.strong_compat import h_matrix, qij_from_p
 from cdo_compat.tranche_valuation import DimensionMismatch
+from cdo_compat.weak_compat import structure_rows
+
+from conftest import tail_rows
 
 
 def test_posterior_is_the_prior_when_nothing_moves(snapshot, curve, weak_result):
@@ -38,6 +42,26 @@ def test_posterior_marginals_track_the_bumped_curve(snapshot, weak_result):
     # the dual starts at zero multipliers; at the optimum a widening bump
     # binds 398 of the 2375 monotonicity rows and a tightening one 1337
     _assert_posterior_tracks_bumped_curves(snapshot, weak_result.law)
+
+
+def test_posterior_is_the_one_over_the_tail_rows(snapshot, weak_result):
+    # the shorter monotonicity rows agree with the tail rows on unit rows,
+    # so the entropy program over either has the same optimum
+    prior = weak_result.law
+    m, n = prior.m, prior.n
+    for shift in (1e-4, -1e-4):
+        bumped = calibrate_hazard(snapshot.index_spread + shift,
+                                  snapshot.schedule, snapshot.discount,
+                                  snapshot.portfolio.recovery)
+        post, _ = posterior_dpm(prior, bumped, snapshot.schedule)
+        A_eq, b_eq, _, _ = structure_rows(m, np.arange(n + 1.0),
+                                          n * bumped.grid(snapshot.schedule))
+        tail = tail_rows(m, n)
+        res = solve_relative_entropy((prior.q + EPS_REG).ravel(), A_eq, b_eq,
+                                     A_ub=tail, b_ub=np.zeros(tail.shape[0]))
+        assert res.status is SolveStatus.OPTIMAL
+        np.testing.assert_allclose(
+            post.q, repair_structure(res.x.reshape(m, n + 1)), rtol=0, atol=1e-12)
 
 
 def test_posterior_from_a_strong_prior_tracks_the_bumped_curve(snapshot,

@@ -20,8 +20,8 @@ from cdo_compat.tranche_valuation import (DimensionMismatch,
                                           TrancheCoefficients,
                                           coefficients_for, expected_npv)
 from cdo_compat.weak_compat import (InfeasibleRegion, InvalidQuotes,
-                                    StateSelection, WeakFeasibilityProblem,
-                                    _assemble, verify_weak, weak_range)
+                                    WeakFeasibilityProblem, _assemble,
+                                    verify_weak, weak_range)
 
 QUOTES = {0: (0.28438, "upfront"), 1: (0.04531, "upfront"),
           2: (106.32e-4, "spread"), 3: (27.44e-4, "spread")}
@@ -85,7 +85,7 @@ def test_strong_certificate_satisfies_weak_constraints(snapshot, strong_100):
     dpm = qij_from_p(strong_100.law, h_matrix(125, 100))
     # the weak polytope over every default count, not only the kink states
     problem = _assemble(WeakFeasibilityProblem, snapshot,
-                        StateSelection.of(np.arange(126), 125), range(4), False)
+                        np.eye(126), np.arange(126.0), range(4), False)
     x = dpm.q.ravel()
     assert np.max(problem.A_ub @ x - problem.b_ub) <= 1e-9
     assert np.max(np.abs(problem.A_eq @ x - problem.b_eq)) <= 1e-7
@@ -237,8 +237,6 @@ def test_weakly_incompatible_walks_end_on_the_weak_bound(snapshot, tranche, valu
 def test_iterative_verification_rejects_bad_controls(snapshot):
     with pytest.raises(ValueError):
         iterative_verify(snapshot, N_sequence=(50, 50))
-    with pytest.raises(ValueError):
-        iterative_verify(snapshot, eps_spread=0.0)
 
 
 def test_matching_pool_size_pins_bounds_to_the_quote(snapshot):

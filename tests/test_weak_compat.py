@@ -18,12 +18,13 @@ from cdo_compat.strong_compat import (StrongFeasibilityProblem, verify_strong_at
 from cdo_compat.tranche_valuation import (TrancheCoefficients, beta_coeffs,
                                           coefficients_for, expected_npv)
 from cdo_compat.weak_compat import (InfeasibleRegion, InvalidQuotes,
-                                    StateSelection, UnboundedRatio,
-                                    WeakFeasibilityProblem, _assemble, _bounds,
-                                    _target, _verify, kink_states,
-                                    marginal_blocks, monotonicity_block,
-                                    nonstandard_tranche_bounds, verify_weak,
+                                    UnboundedRatio, WeakFeasibilityProblem,
+                                    _assemble, _bounds, _target, _verify,
+                                    kink_states, nonstandard_tranche_bounds,
+                                    structure_rows, verify_weak,
                                     verify_weak_bid_ask)
+
+from conftest import tail_rows
 
 INDEX_LIMIT_SPREAD_BPS = 57.49461928448669
 
@@ -172,9 +173,14 @@ def test_a_point_that_misses_the_quotes_is_a_solver_failure(snapshot, monkeypatc
         else "solution misprices a tranche by")
 
 
+def _monotonicity_rows(m, n):
+    _, _, a_ub, b_ub = structure_rows(m, np.arange(n + 1.0), np.zeros(m))
+    return a_ub, b_ub
+
+
 def test_monotonicity_block_signs():
     m, n = 3, 2
-    a_ub, b_ub = monotonicity_block(m, n)
+    a_ub, b_ub = _monotonicity_rows(m, n)
     assert a_ub.shape == ((m - 1) * n, m * (n + 1))
     assert np.all(b_ub == 0.0)
     good = np.array([[0.8, 0.1, 0.1],
@@ -183,22 +189,22 @@ def test_monotonicity_block_signs():
     assert np.max(a_ub @ good.ravel()) <= 1e-15
     bad = good[::-1]
     assert np.max(a_ub @ bad.ravel()) > 0.0
-    # row (i, j) is Theta_{i,j} - Theta_{i+1,j}, checked bit for bit on a
-    # valid law in 64ths, whose partial sums are all exact: distinct tail
-    # sums, strictly decreasing in j and increasing in i
+    # on unit rows, row (i, j) is Theta_{i,j} - Theta_{i+1,j}, checked bit
+    # for bit on a valid law in 64ths, whose partial sums are all exact:
+    # distinct tail sums, strictly decreasing in j and increasing in i
     m, n = 4, 6
     rng = np.random.default_rng(11)
     ranked = np.sort(rng.choice(np.arange(1, 64), size=m * n, replace=False))
     tails = np.hstack([np.full((m, 1), 64), ranked.reshape(n, m)[::-1].T])
     q = np.diff(np.hstack([tails, np.zeros((m, 1), int)]), axis=1) / -64.0
     assert validate_dpm(q).valid
-    a_ub, b_ub = monotonicity_block(m, n)
+    a_ub, b_ub = _monotonicity_rows(m, n)
     theta = tail_sums(q)
     np.testing.assert_array_equal(a_ub @ q.ravel(),
                                   (theta[:-1, 1:] - theta[1:, 1:]).ravel())
     assert b_ub.shape == (a_ub.shape[0],)
     # one date leaves nothing to compare
-    a_one, b_one = monotonicity_block(1, n)
+    a_one, b_one = _monotonicity_rows(1, n)
     assert a_one.shape == (0, n + 1) and b_one.shape == (0,)
 
 
@@ -214,10 +220,10 @@ def test_assembled_monotonicity_rows_equal_the_tail_rows_and_are_shorter(
     n = snapshot.portfolio.n
     problem = (StrongFeasibilityProblem.from_snapshot(snapshot, N) if strong else
                _over(snapshot, np.union1d([0, n], rng.choice(n + 1, N, replace=False))))
-    m, S = problem.m, problem.A_ub.shape[1] // problem.m
-    tail, zeros = monotonicity_block(m, S - 1)
+    m, S = problem.m, len(problem.states)
+    tail = tail_rows(m, S - 1)
     rows = problem.A_ub[:tail.shape[0]]
-    np.testing.assert_array_equal(problem.b_ub[:tail.shape[0]], zeros)
+    np.testing.assert_array_equal(problem.b_ub[:tail.shape[0]], 0.0)
     x = rng.random((m, S))
     x *= t / x.sum(axis=1, keepdims=True)
     np.testing.assert_allclose(rows @ x.ravel(), tail @ x.ravel(), rtol=0, atol=1e-12)
@@ -228,14 +234,14 @@ def test_assembled_monotonicity_rows_equal_the_tail_rows_and_are_shorter(
 def test_the_strong_n100_polytope_has_half_the_monotonicity_nonzeros(snapshot):
     problem = StrongFeasibilityProblem.from_snapshot(snapshot, 100)
     m = problem.m
-    assert monotonicity_block(m, 100)[0].nnz == 191_900
+    assert tail_rows(m, 100).nnz == 191_900
     assert problem.A_ub[:(m - 1) * 100].nnz == 96_900
 
 
 def test_marginal_blocks_reproduce_row_sums_and_means():
     m, n = 3, 2
     means = np.array([0.3, 0.4, 0.5])
-    a_eq, b_eq = marginal_blocks(m, n, means)
+    a_eq, b_eq, _, _ = structure_rows(m, np.arange(n + 1.0), means)
     q = np.array([[0.8, 0.1, 0.1],
                   [0.6, 0.2, 0.2],
                   [0.5, 0.2, 0.3]])
@@ -306,8 +312,8 @@ def test_bounds_reject_bad_inputs(snapshot):
 def _over(snapshot, states, bid_ask=False):
     """The weak polytope over the default counts ``states``."""
     return _assemble(WeakFeasibilityProblem, snapshot,
-                     StateSelection.of(states, snapshot.portfolio.n),
-                     range(snapshot.n_tranches), bid_ask)
+                     np.eye(snapshot.portfolio.n + 1)[:, states],
+                     np.asarray(states, float), range(snapshot.n_tranches), bid_ask)
 
 
 def _all_states(snapshot, bid_ask, target):
@@ -346,15 +352,14 @@ def _weak_answers(snapshot, problem, targets):
     out = []
     with mock.patch.object(opt_backend, "solve_lp", solve_and_check):
         for bid_ask in (False, True) if snapshot.bid is not None else (False,):
-            status, _, _, slack = _verify(
-                snapshot, problem(snapshot, bid_ask, None), bid_ask)
-            out.append((status,
-                        None if slack is None else float(np.abs(slack).sum())))
+            verdict = _verify(snapshot, problem(snapshot, bid_ask, None), bid_ask)
+            out.append((verdict.status, None if verdict.slack is None
+                        else float(np.abs(verdict.slack).sum())))
         for target in targets:
             p = problem(snapshot, False, target)
             try:
                 out.append(_bounds(snapshot, p, target,
-                                   p.h.h.T @ beta_coeffs(target, snapshot.portfolio)))
+                                   p.H.T @ beta_coeffs(target, snapshot.portfolio)))
             except (InfeasibleRegion, UnboundedRatio, SolverError) as exc:
                 out.append(type(exc).__name__)
     return out, max(residuals)
