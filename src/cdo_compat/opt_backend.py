@@ -1,19 +1,20 @@
 """Solver backends behind one narrow contract.
 
 Every linear program, linear-fractional program, and relative-entropy
-program in the package is solved through this module, so the modeling
-code never names a solver. Every LP goes to scipy's HiGHS
-(``method="highs"``) with no setting to select, so its result depends on
-its inputs alone. The relative-entropy program is solved on its dual by
-projected Newton, with the primal recovered in closed form. Each Newton
-system H d = r, H = A_F Q A_F' over the free rows, is factored as
-(D A_F) Q (D A_F)' y = D r, d = D'y, where D subtracts each free inequality
-row from the next. D is invertible, so the step is exact for any A. The
-monotonicity rows of `weak_compat.structure_rows` (m dates of S states)
-come per date pair as nested head rows, then nested tail rows. Two
-consecutive rows of one kind differ in one state per date, two nonzeros;
-the difference at the head/tail switch holds 2(S - 1), once per date
-pair. So the factored matrix holds O(m S) nonzeros, not the O(m S^2) of H.
+program in the package is solved through this module, so the modeling code
+never names a solver. Every LP goes to the HiGHS that scipy bundles, in
+one call through its binding (`linprog`), with no setting to select, so
+its result depends on its inputs alone. The relative-entropy program is
+solved on its dual by projected Newton, with the primal recovered in
+closed form. Each Newton system H d = r, H = A_F Q A_F' over the free
+rows, is factored as (D A_F) Q (D A_F)' y = D r, d = D'y, where D
+subtracts each free inequality row from the next. D is invertible, so the
+step is exact for any A. The monotonicity rows of
+`weak_compat.structure_rows` (m dates of S states) come per date pair as
+nested head rows, then nested tail rows. Two consecutive rows of one kind
+differ in one state per date, two nonzeros; the difference at the
+head/tail switch holds 2(S - 1), once per date pair. So the factored
+matrix holds O(m S) nonzeros, not the O(m S^2) of H.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog, minimize  # noqa: F401, perfbench rebinds minimize
+from scipy.optimize import OptimizeResult, minimize  # noqa: F401, perfbench rebinds minimize
+from scipy.optimize._highspy import _core as highs
 from scipy.sparse.linalg import splu
 
 # Centralized tolerances. Everything downstream quotes these.
@@ -32,6 +34,7 @@ FEASIBILITY_TOL = 1e-8     # max constraint violation accepted in a returned sol
 KKT_TOL = 1e-8             # residual bound for the entropy solver
 T_FLOOR = 1e-12            # Charnes-Cooper auxiliary variable lower acceptance
 T_CEILING = 1e9            # Charnes-Cooper auxiliary variable upper bound
+_RECHECK_TOL = np.sqrt(1e-9) * 10  # scipy linprog's re-check of an optimal point
 
 # Projected Newton on the entropy dual (solve_relative_entropy).
 _NEWTON_STEPS = 100        # Newton steps per solve
@@ -94,6 +97,100 @@ class SolveResult:
     extra: dict = field(default_factory=dict)
 
 
+_Model = highs.HighsModelStatus
+# HiGHS model status -> scipy linprog's status and message head; any other
+# status is (4, "The HiGHS status code was not recognized. ")
+_STATUS = {
+    _Model.kOptimal: (0, "Optimization terminated successfully. "),
+    _Model.kTimeLimit: (1, "Time limit reached. "),
+    _Model.kIterationLimit: (1, "Iteration limit reached. "),
+    _Model.kInfeasible: (2, "The problem is infeasible. "),
+    _Model.kModelError: (2, ""),
+    _Model.kUnbounded: (3, "The problem is unbounded. "),
+    _Model.kUnboundedOrInfeasible: (4, "The problem is unbounded or infeasible. "),
+    **dict.fromkeys((_Model.kNotset, _Model.kLoadError, _Model.kPresolveError,
+                     _Model.kSolveError, _Model.kPostsolveError, _Model.kModelEmpty,
+                     _Model.kObjectiveBound, _Model.kObjectiveTarget), (4, "")),
+}
+
+
+def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None)):
+    """min c'x s.t. A_ub x <= b_ub, A_eq x = b_eq, bounds, by HiGHS's dual simplex.
+
+    Answers as scipy's ``linprog(method="highs")`` does, with the same
+    options (presolve on, dual simplex, no output), so ``status``,
+    ``message``, ``x``, ``fun`` and ``nit`` (simplex iterations) are its.
+    The rows go to HiGHS as one CSC matrix [A_ub; A_eq] with row bounds
+    (-inf, b_ub] and [b_eq, b_eq], through the binding's array form of
+    ``passModel``. ``bounds`` is one (lo, hi) pair for every variable or one
+    per variable, None for no bound. Non-finite costs, right-hand sides or
+    matrix entries raise ValueError. As in scipy, an optimal point that
+    misses a bound or row by more than sqrt(1e-9) * 10, or holds a NaN, is
+    status 4.
+    """
+    c = np.ascontiguousarray(c, float).reshape(-1)  # HiGHS reads raw buffers
+    n = len(c)
+    blocks = [sp.csc_array(a) for a in (A_ub, A_eq) if a is not None]
+    A = sp.vstack(blocks, format="csc") if blocks else sp.csc_array((0, n))
+    A.sum_duplicates()  # HiGHS refuses repeated entries as a model error
+    b_ub = np.asarray([] if b_ub is None else b_ub, float).reshape(-1)
+    b_eq = np.asarray([] if b_eq is None else b_eq, float).reshape(-1)
+    if not (np.isfinite(c).all() and np.isfinite(b_ub).all()
+            and np.isfinite(b_eq).all() and np.isfinite(A.data).all()):
+        raise ValueError("linprog: c, b_ub, b_eq, A_ub and A_eq must be finite")
+    if A.shape != (len(b_ub) + len(b_eq), n):
+        raise ValueError(f"linprog: {A.shape} constraint matrix for "
+                         f"{len(b_ub)} + {len(b_eq)} rows and {n} columns")
+    lb, ub = np.broadcast_to(np.array(bounds, float), (n, 2)).T
+    lb = np.where(np.isnan(lb), -np.inf, lb)
+    ub = np.where(np.isnan(ub), np.inf, ub)
+    row_lower = np.concatenate([np.full(len(b_ub), -np.inf), b_eq])
+    row_upper = np.concatenate([b_ub, b_eq])
+
+    h = highs._Highs()
+    h.setOptionValue("output_flag", False)
+    h.setOptionValue("presolve", "on")
+    h.setOptionValue("simplex_strategy", 1)  # dual
+    loaded = h.passModel(
+        n, len(row_upper), A.nnz, highs.MatrixFormat.kColwise,
+        highs.ObjSense.kMinimize, 0.0, c, lb, ub, row_lower, row_upper,
+        A.indptr, A.indices, A.data, np.zeros(n, np.int32)) != highs.HighsStatus.kError
+    ran = loaded and h.run() != highs.HighsStatus.kError
+    model = h.getModelStatus() if loaded else _Model.kModelError
+    text = h.modelStatusToString(model)
+    x = fun = None
+    nit = 0
+    if ran:
+        info = h.getInfo()
+        nit = info.simplex_iteration_count or info.ipm_iteration_count
+        if model == _Model.kOptimal:
+            solution = h.getSolution()
+            x = np.array(solution.col_value)
+            row = np.array(solution.row_value)
+            fun = info.objective_function_value
+        else:
+            text = (f"model_status is {text}; primal_status is "
+                    f"{h.solutionStatusToString(info.primal_solution_status)}")
+    status, head = _STATUS.get(model, (4, "The HiGHS status code was not recognized. "))
+    message = f"{head}(HiGHS Status {int(model)}: {text})"
+    if x is not None:
+        tol, k = _RECHECK_TOL, len(b_ub)
+        # every comparison with a NaN is False, so a NaN fails the check too
+        if not (np.all((x >= lb - tol) & (x <= ub + tol))
+                and np.all(row[:k] - b_ub <= tol)
+                and np.all(np.abs(row[k:] - b_eq) <= tol) and not np.isnan(fun)):
+            status = 4
+            message = (
+                "The solution does not satisfy the constraints within the "
+                f"required tolerance of {tol:.2E}, yet no errors were raised "
+                "and there is no certificate of infeasibility or unboundedness. "
+                "Check whether the slack and constraint residuals are "
+                "acceptable; if not, consider enabling presolve, adjusting the "
+                "tolerance option(s), and/or using a different method. Please "
+                "consider submitting a bug report.")
+    return OptimizeResult(status=status, message=message, x=x, fun=fun, nit=nit)
+
+
 def solve_lp(lp):
     """Solve a LinearProgram; statuses follow SolveStatus semantics.
 
@@ -107,7 +204,7 @@ def solve_lp(lp):
         sign * c,
         A_ub=lp.A_ub, b_ub=lp.b_ub,
         A_eq=lp.A_eq, b_eq=lp.b_eq,
-        bounds=lp.bounds, method="highs",
+        bounds=lp.bounds,
     )
     if res.status == 0:
         status = SolveStatus.FEASIBLE if lp.c is None else SolveStatus.OPTIMAL

@@ -1,16 +1,24 @@
 """LP, linear-fractional, and relative-entropy backends on toy instances."""
 
+import copy
+import types
+
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cdo_compat.opt_backend import (_HESS_RIDGE, DegenerateDenominator,
+from cdo_compat import opt_backend, range_at_N
+from cdo_compat.market_model import snapshot_from_dict, snapshot_to_dict
+from cdo_compat.opt_backend import (_HESS_RIDGE, T_CEILING, DegenerateDenominator,
                                     LinearProgram, SolveStatus,
                                     _newton_direction, solve_lfp, solve_lp,
                                     solve_relative_entropy)
-from cdo_compat.weak_compat import structure_rows
+from cdo_compat.weak_compat import (InfeasibleRegion, nonstandard_tranche_bounds,
+                                    structure_rows, verify_weak,
+                                    verify_weak_bid_ask)
 
 from conftest import tail_rows
 
@@ -50,6 +58,154 @@ def test_lp_accepts_sparse_matrices():
     res = solve_lp(lp)
     assert res.status is SolveStatus.OPTIMAL
     np.testing.assert_allclose(a @ res.x, [2.0, 1.0], atol=1e-9)
+
+
+def _edited(snapshot, edit):
+    raw = snapshot_to_dict(snapshot)
+    edit(raw["tranches"])
+    return snapshot_from_dict(raw)
+
+
+def _banded(tranches):
+    for t, (bid, ask) in zip(tranches, [(28.2, 28.7), (4.3, 4.8), (105.0, 108.0),
+                                        (27.0, 28.0)]):
+        t["bid_value"], t["ask_value"] = bid, ask
+
+
+def _torn(tranches):
+    # a second equity quote far above the first: no law prices both
+    tranches.append(dict(copy.deepcopy(tranches[0]), quote_value=50.0))
+
+
+def _empty_polytope_bound(snapshot):
+    with pytest.raises(InfeasibleRegion):
+        nonstandard_tranche_bounds(_edited(snapshot, _torn), 0.0, 0.05, "upfront")
+
+
+# (what `call(snapshot)` solves, which of its LPs to compare)
+PACKAGE_LPS = {
+    "weak-elastic-mid": (verify_weak, [0]),
+    "weak-elastic-bid-ask": (lambda snap: verify_weak_bid_ask(_edited(snap, _banded)),
+                             [0]),
+    "strong-n50-bound-min-max": (lambda snap: range_at_N(snap, [1, 2, 3], 0, N=50),
+                                 [0, 1]),
+    "charnes-cooper-lfp": (lambda snap: nonstandard_tranche_bounds(
+        snap, 0.04, 0.08, "spread"), [0]),
+    "torn-infeasible": (_empty_polytope_bound, [0]),
+}
+
+TOY_LPS = {
+    "unbounded": dict(c=[-1.0, 0.0]),
+    "a-ub-only": dict(c=[-1.0, -2.0], A_ub=np.array([[1.0, 1.0], [1.0, 3.0]]),
+                      b_ub=[4.0, 6.0]),
+    "a-eq-only": dict(c=[1.0, 2.0, 0.5], A_eq=sp.csr_matrix([[1.0, 1.0, 1.0]]),
+                      b_eq=[1.0], bounds=[(0, None), (0.2, None), (0, 0.3)]),
+    # x0's coefficient stored as two entries of 0.5
+    "repeated-entries": dict(c=[-1.0, -1.0], A_ub=sp.csr_matrix(
+        ([0.5, 0.5, 1.0], [0, 0, 1], [0, 3]), shape=(1, 2)), b_ub=[1.0]),
+}
+
+
+def _package_lps(snapshot, call, picks):
+    """The arguments of the LPs numbered ``picks`` that ``call`` hands to linprog."""
+    calls, real = [], opt_backend.linprog
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(opt_backend, "linprog", record)
+        call(snapshot)
+    return [calls[i] for i in picks]
+
+
+def _assert_same_answer(args, kwargs):
+    ours = opt_backend.linprog(*args, **kwargs)
+    ref = scipy.optimize.linprog(*args, **kwargs, method="highs")
+    assert (ours.status, ours.message, ours.nit) == (ref.status, ref.message, ref.nit)
+    if ref.x is None:
+        assert ours.x is None and ours.fun is None
+    else:
+        assert ours.x.tobytes() == ref.x.tobytes()
+        assert np.float64(ours.fun).tobytes() == np.float64(ref.fun).tobytes()
+    return ours
+
+
+@pytest.mark.parametrize("case", PACKAGE_LPS)
+def test_linprog_answers_as_scipy_linprog_on_the_package_lps(snapshot, case):
+    lps = _package_lps(snapshot, *PACKAGE_LPS[case])
+    statuses = [_assert_same_answer(args, kwargs).status for args, kwargs in lps]
+    assert statuses == ([2] if case == "torn-infeasible" else [0] * len(lps))
+    if case == "charnes-cooper-lfp":
+        bounds = lps[0][1]["bounds"]
+        assert isinstance(bounds, list) and bounds[-1] == (0, T_CEILING)
+
+
+@pytest.mark.parametrize("case", TOY_LPS)
+def test_linprog_answers_as_scipy_linprog_on_toy_lps(case):
+    res = _assert_same_answer((), TOY_LPS[case])
+    assert res.status == (3 if case == "unbounded" else 0)
+
+
+@pytest.mark.parametrize("field", ["c", "b_ub", "b_eq", "A_ub", "A_eq"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_linprog_rejects_non_finite_inputs(field, bad):
+    lp = dict(c=np.ones(2), A_ub=sp.csr_matrix([[1.0, 1.0]]), b_ub=np.ones(1),
+              A_eq=np.array([[1.0, -1.0]]), b_eq=np.zeros(1))
+    value = lp[field].copy()
+    (value.data if sp.issparse(value) else value.reshape(-1))[0] = bad
+    lp[field] = value
+    with pytest.raises(ValueError):
+        opt_backend.linprog(**lp)
+
+
+RECHECK_TOL = np.sqrt(1e-9) * 10
+
+
+@pytest.mark.parametrize("where, shift, status", [
+    pytest.param("ub-row", 2 * RECHECK_TOL, 4, id="ub-row-off"),
+    pytest.param("eq-row", -2 * RECHECK_TOL, 4, id="eq-row-off"),
+    pytest.param("column", -2 * RECHECK_TOL, 4, id="bound-off"),
+    pytest.param("column", np.nan, 4, id="nan"),
+    pytest.param("ub-row", 0.5 * RECHECK_TOL, 0, id="ub-row-within"),
+    pytest.param("eq-row", -0.5 * RECHECK_TOL, 0, id="eq-row-within"),
+])
+def test_an_optimal_point_off_its_rows_is_status_4(monkeypatch, where, shift, status):
+    # min x0 + x1 s.t. x0 + x1 <= 2, x0 - x1 = 0, x >= 0 is optimal at 0; the
+    # solution HiGHS hands back is moved off one row or bound after the solve
+    class Shifted(opt_backend.highs._Highs):
+        def getSolution(self):
+            sol = super().getSolution()
+            if where == "column":
+                sol.col_value = [sol.col_value[0] + shift, sol.col_value[1]]
+            else:
+                row = sol.row_value
+                i = 0 if where == "ub-row" else 1
+                row[i] = 2.0 + shift if where == "ub-row" else row[i] + shift
+                sol.row_value = row
+            return sol
+
+    monkeypatch.setattr(opt_backend, "highs", types.SimpleNamespace(
+        **{**vars(opt_backend.highs), "_Highs": Shifted}))
+    res = opt_backend.linprog([1.0, 1.0], A_ub=[[1.0, 1.0]], b_ub=[2.0],
+                              A_eq=[[1.0, -1.0]], b_eq=[0.0])
+    assert res.status == status
+    if status == 4:
+        assert res.message == (
+            "The solution does not satisfy the constraints within the required "
+            "tolerance of 3.16E-04, yet no errors were raised and there is no "
+            "certificate of infeasibility or unboundedness. Check whether the "
+            "slack and constraint residuals are acceptable; if not, consider "
+            "enabling presolve, adjusting the tolerance option(s), and/or using "
+            "a different method. Please consider submitting a bug report.")
+        assert solve_lp(LinearProgram(
+            c=np.ones(2), A_ub=np.array([[1.0, 1.0]]), b_ub=np.array([2.0]),
+            A_eq=np.array([[1.0, -1.0]]), b_eq=np.zeros(1),
+        )).status is SolveStatus.NUMERICAL_FAILURE
+    else:
+        assert res.message == ("Optimization terminated successfully. "
+                               "(HiGHS Status 7: Optimal)")
 
 
 def _grid_ratio(c_num, d_num, c_den, d_den, points):

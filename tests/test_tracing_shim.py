@@ -1,10 +1,11 @@
 """The benchmark's traced-run shim still installs against the package.
 
 `perfbench/tracing.py` wraps the polytope builders and the sampler's two
-stages by class and method name, and reads the entropy solve's record; a
-rename in the package, or a simulator that stopped calling those methods,
-would silently zero its assembly counts, sampler spans and entropy
-counters. The shim is imported by path and run in a fresh interpreter, so
+stages by class and method name, counts HiGHS iterations from the ``nit``
+of `opt_backend.linprog`, and reads the entropy solve's record; a rename
+in the package, a move of the HiGHS call, or a simulator that stopped
+calling those methods, would silently zero its assembly counts, iteration
+and LP counts, sampler spans and entropy counters. The shim is imported by path and run in a fresh interpreter, so
 its rebinding of package names cannot leak into the rest of the suite.
 """
 
@@ -47,6 +48,8 @@ def test_tracer_counts_both_polytope_assemblies(tmp_path):
     metrics = json.loads(res.stdout)
     assert metrics["weak_compat.assemble_calls"] >= 1
     assert metrics["strong_compat.assemble_calls"] >= 1
+    assert metrics["opt_backend.lp_calls"] > 0
+    assert metrics["highs.iterations"] > 0
     assert metrics["strong_compat.generator_s"] > 0.0
     assert metrics["strong_compat.distortion_s"] > 0.0
     assert metrics["opt_backend.entropy_calls"] == 1
