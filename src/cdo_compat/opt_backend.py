@@ -15,19 +15,27 @@ nested head rows, then nested tail rows. Two consecutive rows of one kind
 differ in one state per date, two nonzeros; the difference at the
 head/tail switch holds 2(S - 1), once per date pair. So the factored
 matrix holds O(m S) nonzeros, not the O(m S^2) of H.
+
+Only the HiGHS binding's extension module is loaded from scipy's
+optimize package (`_load_highs`); ``scipy.optimize`` itself is never
+imported, and ``scipy.sparse.linalg`` (for the sparse LU) only by the
+first entropy solve. Every command therefore starts without them.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import pathlib
+import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
-from scipy.optimize import OptimizeResult, minimize  # noqa: F401, perfbench rebinds minimize
-from scipy.optimize._highspy import _core as highs
-from scipy.sparse.linalg import splu
 
 # Centralized tolerances. Everything downstream quotes these.
 FEASIBILITY_TOL = 1e-8     # max constraint violation accepted in a returned solution
@@ -97,19 +105,57 @@ class SolveResult:
     extra: dict = field(default_factory=dict)
 
 
+def _load_highs():
+    """scipy's HiGHS binding, without running ``scipy.optimize``'s __init__.
+
+    The extension module is loaded from its file under its own name and
+    registered in ``sys.modules``, so a later ``import scipy.optimize`` gets
+    this module, not a second copy of the pybind11 module; one already
+    there is reused.
+    """
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = pathlib.Path(scipy.__file__).parent / "optimize" / "_highspy"
+    paths = [folder / f"_core{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if p.is_file()), None)
+    if path is None:
+        raise ImportError(f"scipy {scipy.__version__} has no HiGHS core: "
+                          f"{paths[0]} is missing", name=name, path=str(paths[0]))
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+highs = _load_highs()
+
+
+def __getattr__(name):
+    # perfbench's tracer reads and rebinds `minimize`, which the package never
+    # calls; importing it on access leaves scipy.optimize out of every untraced
+    # process. ROADMAP direction 5 deletes the name.
+    if name == "minimize":
+        from scipy.optimize import minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 _Model = highs.HighsModelStatus
 # HiGHS model status -> scipy linprog's status and message head; any other
-# status is (4, "The HiGHS status code was not recognized. ")
+# status is (4, "The HiGHS status code was not recognized. "). A model that
+# HiGHS refuses is status 4, a solver failure, where scipy says 2.
 _STATUS = {
     _Model.kOptimal: (0, "Optimization terminated successfully. "),
     _Model.kTimeLimit: (1, "Time limit reached. "),
     _Model.kIterationLimit: (1, "Iteration limit reached. "),
     _Model.kInfeasible: (2, "The problem is infeasible. "),
-    _Model.kModelError: (2, ""),
     _Model.kUnbounded: (3, "The problem is unbounded. "),
     _Model.kUnboundedOrInfeasible: (4, "The problem is unbounded or infeasible. "),
-    **dict.fromkeys((_Model.kNotset, _Model.kLoadError, _Model.kPresolveError,
-                     _Model.kSolveError, _Model.kPostsolveError, _Model.kModelEmpty,
+    **dict.fromkeys((_Model.kNotset, _Model.kLoadError, _Model.kModelError,
+                     _Model.kPresolveError, _Model.kSolveError,
+                     _Model.kPostsolveError, _Model.kModelEmpty,
                      _Model.kObjectiveBound, _Model.kObjectiveTarget), (4, "")),
 }
 
@@ -119,14 +165,16 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None)):
 
     Answers as scipy's ``linprog(method="highs")`` does, with the same
     options (presolve on, dual simplex, no output), so ``status``,
-    ``message``, ``x``, ``fun`` and ``nit`` (simplex iterations) are its.
+    ``message``, ``x``, ``fun`` and ``nit`` (simplex iterations) are its,
+    returned as the attributes of a plain namespace.
     The rows go to HiGHS as one CSC matrix [A_ub; A_eq] with row bounds
     (-inf, b_ub] and [b_eq, b_eq], through the binding's array form of
     ``passModel``. ``bounds`` is one (lo, hi) pair for every variable or one
     per variable, None for no bound. Non-finite costs, right-hand sides or
     matrix entries raise ValueError. As in scipy, an optimal point that
     misses a bound or row by more than sqrt(1e-9) * 10, or holds a NaN, is
-    status 4.
+    status 4. So is a model that HiGHS refuses, where scipy says 2
+    (infeasible): a refused model is a solver failure, not a verdict.
     """
     c = np.ascontiguousarray(c, float).reshape(-1)  # HiGHS reads raw buffers
     n = len(c)
@@ -188,7 +236,7 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None)):
                 "acceptable; if not, consider enabling presolve, adjusting the "
                 "tolerance option(s), and/or using a different method. Please "
                 "consider submitting a bug report.")
-    return OptimizeResult(status=status, message=message, x=x, fun=fun, nit=nit)
+    return SimpleNamespace(status=status, message=message, x=x, fun=fun, nit=nit)
 
 
 def solve_lp(lp):
@@ -306,6 +354,8 @@ def _newton_direction(A, A_sq, q, g, v, n_eq):
     (``_merge``): the difference of two free rows is the sum of the
     differences between them.
     """
+    from scipy.sparse.linalg import splu
+
     ineq = np.arange(len(g)) >= n_eq
     diag = A_sq @ q
     held = ineq & (g > 0.0) & (v * diag <= g)
@@ -406,6 +456,8 @@ def solve_relative_entropy(reference, A_eq, b_eq, A_ub=None, b_ub=None):
     while on the monotonicity rows of `weak_compat.structure_rows` the
     factored matrix has O(m S) nonzeros instead of the O(m S^2) of H_F.
     """
+    # the first solve loads the sparse LU (about 50 ms) before its clock starts
+    import scipy.sparse.linalg  # noqa: F401
     start = time.perf_counter()
     reference = np.asarray(reference, float).ravel()
     if np.any(reference <= 0.0):

@@ -1,16 +1,20 @@
 """LP, linear-fractional, and relative-entropy backends on toy instances."""
 
 import copy
+import json
+import sys
 import types
 
 import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse as sp
+from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cdo_compat import opt_backend, range_at_N
+from cdo_compat.cli import main
 from cdo_compat.market_model import snapshot_from_dict, snapshot_to_dict
 from cdo_compat.opt_backend import (_HESS_RIDGE, T_CEILING, DegenerateDenominator,
                                     LinearProgram, SolveStatus,
@@ -20,7 +24,7 @@ from cdo_compat.weak_compat import (InfeasibleRegion, nonstandard_tranche_bounds
                                     structure_rows, verify_weak,
                                     verify_weak_bid_ask)
 
-from conftest import tail_rows
+from conftest import SNAPSHOT_PATH, tail_rows
 
 
 def test_lp_min_and_max_on_a_triangle():
@@ -206,6 +210,36 @@ def test_an_optimal_point_off_its_rows_is_status_4(monkeypatch, where, shift, st
     else:
         assert res.message == ("Optimization terminated successfully. "
                                "(HiGHS Status 7: Optimal)")
+
+
+def test_a_model_highs_refuses_is_a_solver_failure(monkeypatch):
+    # scipy reports a refused model as infeasible (status 2); here it must
+    # not become an "incompatible" verdict
+    class Refusing(opt_backend.highs._Highs):
+        def passModel(self, *args):
+            return opt_backend.highs.HighsStatus.kError
+
+    monkeypatch.setattr(opt_backend, "highs", types.SimpleNamespace(
+        **{**vars(opt_backend.highs), "_Highs": Refusing}))
+    res = opt_backend.linprog([1.0, 1.0], A_ub=[[1.0, 1.0]], b_ub=[2.0])
+    assert (res.status, res.x, res.nit) == (4, None, 0)
+    assert res.message == "(HiGHS Status 2: Model error)"
+    assert solve_lp(LinearProgram(
+        c=np.ones(2), A_ub=np.array([[1.0, 1.0]]), b_ub=np.array([2.0]),
+    )).status is SolveStatus.NUMERICAL_FAILURE
+    out = CliRunner().invoke(main, ["verify-weak", "-i", SNAPSHOT_PATH, "--json"])
+    assert out.exit_code == 2
+    assert json.loads(out.output)["status"] == "numerical_failure"
+
+
+def test_a_missing_highs_core_names_the_scipy_version_and_the_path(monkeypatch,
+                                                                    tmp_path):
+    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
+    monkeypatch.setattr(opt_backend, "scipy", types.SimpleNamespace(
+        __file__=str(tmp_path / "__init__.py"), __version__="0.0"))
+    with pytest.raises(ImportError, match="scipy 0.0 has no HiGHS core") as err:
+        opt_backend._load_highs()
+    assert str(tmp_path / "optimize" / "_highspy" / "_core") in str(err.value)
 
 
 def _grid_ratio(c_num, d_num, c_den, d_den, points):

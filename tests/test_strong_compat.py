@@ -4,7 +4,7 @@ import copy
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import betabinom, ks_2samp
 
 from cdo_compat.dpm_core import (DPM, InvalidDPM, dpm_from_csv, dpm_to_csv,
                                  validate_dpm)
@@ -12,7 +12,8 @@ from cdo_compat.market_model import snapshot_from_dict, snapshot_to_dict
 from cdo_compat.opt_backend import FEASIBILITY_TOL, SolveStatus
 from cdo_compat.strong_compat import (DEFAULT_EPS_SPREAD, GammaDistortion,
                                       GeneratorSampler, IterationLimit,
-                                      h_matrix, iterative_verify,
+                                      StrongFeasibilityProblem, h_matrix,
+                                      iterative_verify,
                                       nonstandard_names_bounds, qij_from_p,
                                       range_at_N, verify_strong_at_N,
                                       verify_strong_bid_ask)
@@ -215,6 +216,41 @@ def test_free_strong_ranges_widen_with_the_resolution(snapshot):
         assert lo20 - 1e-9 <= lo10 <= hi10 <= hi20 + 1e-9, l
 
 
+def _lift_kernel(N, M):
+    """The Polya urn from N to M > N: K[k + i, k] = BetaBinomial(i; M - N, k, N - k).
+
+    State k of N is an urn of k red and N - k black balls; M - N more draws,
+    each adding a ball of the colour drawn, reach state k + i of M. The
+    k = 0 and k = N urns hold one colour, so their columns are point masses.
+    """
+    K = np.zeros((M + 1, N + 1))
+    K[0, 0] = K[M, N] = 1.0
+    i = np.arange(M - N + 1)
+    for k in range(1, N):
+        K[k + i, k] = betabinom.pmf(i, M - N, k, N - k)
+    return K
+
+
+@pytest.mark.parametrize("n, N, M", [(125, 50, 75), (125, 50, 100), (5, 10, 13)])
+def test_h_at_N_is_h_at_a_larger_M_through_the_lift_kernel(n, N, M):
+    np.testing.assert_allclose(h_matrix(n, M).h @ _lift_kernel(N, M),
+                               h_matrix(n, N).h, rtol=0, atol=1e-12)
+
+
+def test_a_strong_law_lifts_to_a_larger_N_with_the_same_q(snapshot):
+    # the claim behind iterative_verify's walk: a law at N lifts to one at
+    # every larger N with the same default-count law q
+    law = verify_strong_at_N(snapshot, 50).law
+    lifted = DPM(law.q @ _lift_kernel(50, 100).T)
+    n = snapshot.portfolio.n
+    np.testing.assert_allclose(qij_from_p(lifted, h_matrix(n, 100)).q,
+                               qij_from_p(law, h_matrix(n, 50)).q, rtol=0, atol=1e-12)
+    problem = StrongFeasibilityProblem.from_snapshot(snapshot, 100)
+    x = lifted.q.ravel()
+    assert np.max(np.abs(problem.A_eq @ x - problem.b_eq)) <= FEASIBILITY_TOL
+    assert np.max(problem.A_ub @ x - problem.b_ub) <= FEASIBILITY_TOL
+
+
 # The far moves of the senior tranche and the moves that perfbench keeps as
 # known failing: each is weakly incompatible, and the senior quote lies
 # outside its weak range over the tranches before it.
@@ -229,6 +265,7 @@ def test_weakly_incompatible_walks_end_on_the_weak_bound(snapshot, tranche, valu
     res = iterative_verify(snap)
     assert (res.compatible, res.failing_tranche, res.rule) == (False, 3, "weak_bound")
     assert res.final_N is None and res.law is None
+    assert verify_strong_at_N(snap, 50).status is SolveStatus.INFEASIBLE
     assert {r.tranche for r in res.history} == {0, 1, 2}
     lo, hi = res.weak_range
     assert not lo - DEFAULT_EPS_SPREAD <= snap.quotes.spread[3] <= hi + DEFAULT_EPS_SPREAD
