@@ -53,6 +53,13 @@ _HESS_RIDGE = 1e-14        # relative ridge keeping the Newton system nonsingula
 _NOISE_ULPS = 64           # rounding noise of the dual objective, in ulps of its terms
 _KKT_FLOOR = 1e-13         # polishing past KKT_TOL stops here
 
+# Column generation over monotone paths (solve_path_lfp).
+_MASTER_TOL = 1e-10        # the master's primal and dual feasibility tolerances; at
+                           # HiGHS's 1e-7 the loop stalls above the pricing threshold
+_PRICE_TOL = 1e-9          # a path enters when its reduced cost is below -_PRICE_TOL
+_PATHS_PER_ROUND = 10      # the cheapest paths added per round, one per end state
+_ROUNDS = 5000             # pricing rounds per call before the master counts as stalled
+
 
 class SolverError(RuntimeError):
     """Numerical failure inside a backend, distinct from model infeasibility."""
@@ -313,6 +320,183 @@ def solve_lfp(c_num, d_num, c_den, d_den, A_ub=None, b_ub=None,
     ratio = (c_num @ x + d_num) / (c_den @ x + d_den)
     return SolveResult(SolveStatus.OPTIMAL, x, float(ratio), res.message,
                        extra={"t": float(t)})
+
+
+def _cheapest_paths(cost, k, below):
+    """The paths that price below ``below``: the cheapest to each of k end states.
+
+    ``cost`` is (m, S), and the path s_1 <= ... <= s_m over states 0..S-1
+    costs sum_i cost[i, s_i]. The prefix-minimum dynamic program V_1 =
+    cost_1, V_i(s) = cost_i(s) + min_{s' <= s} V_{i-1}(s') gives the
+    cheapest path to every end state in O(m S). Returns those of the k
+    cheapest end states that cost less than ``below``, as a (j, m) array of
+    states, cheapest first, and the cheapest cost of all.
+    """
+    m, S = cost.shape
+    V = cost.copy()
+    best = np.empty_like(cost)
+    for i in range(1, m):
+        np.minimum.accumulate(V[i - 1], out=best[i - 1])
+        V[i] += best[i - 1]
+    # back[i, s]: the last s' <= s at which V_i reaches its prefix minimum
+    back = np.maximum.accumulate(
+        np.where(V[:-1] == best[:-1], np.arange(S), 0), axis=1)
+    v = V[-1]
+    ends = np.argsort(v, kind="stable")[:k]
+    ends = ends[v[ends] < below]
+    paths = np.empty((len(ends), m), dtype=np.intp)
+    paths[:, -1] = ends
+    for i in range(m - 2, -1, -1):
+        paths[:, i] = back[i][paths[:, i + 1]]
+    return paths, float(v.min())
+
+
+def solve_path_lfp(rows, rhs, n_elastic, c_num, d_num, c_den, d_den):
+    """Min and max of (c_num(w) + d_num) / (c_den(w) + d_den) over path mixtures w.
+
+    A path is a non-decreasing sequence s_1 <= ... <= s_m of states 0..S-1.
+    An (m, S) array f takes the value f(s) = sum_i f[i, s_i] on a path and
+    sum_s w_s f(s) on a mixture w >= 0 of paths. The mixtures meet the rows
+    f_r(w) = rhs_r of ``rows`` (R, m, S); the denominator must be positive
+    on them.
+
+    Column generation (Gilmore and Gomory, Oper. Res. 9, 1961) on one HiGHS
+    master that both solves share. Its columns are y = t w over the paths
+    found so far and the Charnes-Cooper t in [0, T_CEILING]; its rows are
+    the R rows made homogeneous, f_r(y) - rhs_r t = 0, and the
+    normalization c_den(y) + d_den t = 1. It starts from the m + 1 paths
+    that jump from state 0 to S - 1 at one date or never, which must meet
+    every row but the last ``n_elastic``. Those get one artificial column
+    per sign, and phase 1 minimizes the artificials' total. Then they are
+    fixed at 0, and the min and the max solve run in turn. Each round
+    prices every path against the master's row multipliers with
+    `_cheapest_paths` and adds the (at most _PATHS_PER_ROUND) paths whose
+    reduced cost is below -_PRICE_TOL; a solve ends when there is none. The
+    master runs primal simplex without presolve at _MASTER_TOL, each run
+    from the last basis.
+
+    Returns the (min, max) SolveResults; an end that a failure kept from
+    running repeats that failure. ``x`` is the mixture's law over (date,
+    state), ravelled, and ``objective`` the ratio on it, both recomputed
+    here; a law that misses a row by more than FEASIBILITY_TOL is
+    NUMERICAL_FAILURE. A phase 1 that ends with artificials above
+    FEASIBILITY_TOL t is INFEASIBLE; a master that ends other than optimal,
+    or after _ROUNDS rounds, is NUMERICAL_FAILURE. ``extra`` is the master's
+    record when the result was read: ``rounds``, path ``columns``,
+    ``simplex_iterations`` and ``wall_s`` since the call began, and the
+    ``cheapest_reduced_cost`` of the last pricing (and ``t`` at an end).
+    Raises DegenerateDenominator if t is at or below T_FLOOR at an end, and
+    SolverError if HiGHS refuses the model or a column.
+    """
+    start = time.perf_counter()
+    rows, rhs = np.asarray(rows, float), np.asarray(rhs, float)
+    R, m, S = rows.shape
+    # column i S + s of W holds every row's value at state s on date i; a
+    # path's master column is the sum of its m cells
+    W = np.concatenate([rows, np.asarray(c_den, float)[None]]).reshape(R + 1, m * S)
+    cells = np.ascontiguousarray(W.T)
+    c_num = np.asarray(c_num, float).ravel()
+    flat = np.arange(m) * S  # a path's cells are flat + its states
+    k = n_elastic
+    # t, then k artificials of each sign, then the paths
+    fixed = np.zeros((R + 1, 1 + 2 * k))
+    fixed[:, 0] = np.append(-rhs, d_den)
+    fixed[R - k:R, 1:] = np.hstack([np.eye(k), -np.eye(k)])
+    A = sp.csc_array(fixed)
+    n = A.shape[1]
+    bound = np.append(np.zeros(R), 1.0)
+    h = highs._Highs()
+    for option, value in (("output_flag", False), ("presolve", "off"),
+                          ("simplex_strategy", 4),  # primal
+                          ("primal_feasibility_tolerance", _MASTER_TOL),
+                          ("dual_feasibility_tolerance", _MASTER_TOL)):
+        h.setOptionValue(option, value)
+    if h.passModel(n, R + 1, A.nnz, highs.MatrixFormat.kColwise,
+                   highs.ObjSense.kMinimize, 0.0, np.append(0.0, np.ones(2 * k)),
+                   np.zeros(n), np.append(T_CEILING, np.full(2 * k, np.inf)),
+                   bound, bound, A.indptr, A.indices, A.data,
+                   np.zeros(n, np.int32)) == highs.HighsStatus.kError:
+        raise SolverError("path master: HiGHS refused the model")
+    found = []  # each round's paths, as (j, m) arrays of cells
+    record = {"rounds": 0, "columns": 0, "simplex_iterations": 0,
+              "cheapest_reduced_cost": None}
+
+    def add(paths, cost):
+        new = flat + paths
+        cols = cells[new].sum(axis=1)
+        nz = cols != 0.0
+        per_col = nz.sum(axis=1)
+        if h.addCols(len(new), cost[new].sum(axis=1), np.zeros(len(new)),
+                     np.full(len(new), np.inf), int(per_col.sum()),
+                     np.append(0, np.cumsum(per_col)[:-1]).astype(np.int32),
+                     np.nonzero(nz)[1].astype(np.int32),
+                     cols[nz]) == highs.HighsStatus.kError:
+            raise SolverError("path master: HiGHS refused a path column")
+        found.append(new)
+        record["columns"] += len(new)
+
+    def solve(cost, enough=-np.inf):
+        """Price and grow until no path enters; a failure's message, or None."""
+        while True:
+            ran = h.run() != highs.HighsStatus.kError
+            model = h.getModelStatus()
+            info = h.getInfo()
+            record["simplex_iterations"] += info.simplex_iteration_count
+            if not ran or model != _Model.kOptimal:
+                return f"path master: model status {h.modelStatusToString(model)}"
+            y = np.asarray(h.getSolution().row_dual)
+            paths, record["cheapest_reduced_cost"] = _cheapest_paths(
+                (cost - y @ W).reshape(m, S), _PATHS_PER_ROUND, -_PRICE_TOL)
+            if not len(paths) or info.objective_function_value <= enough:
+                return None
+            if record["rounds"] == _ROUNDS:
+                return f"path master: no optimum after {_ROUNDS} rounds"
+            add(paths, cost)
+            record["rounds"] += 1
+
+    def result(status, x=None, objective=None, message="", **extra):
+        return SolveResult(status, x, objective, message,
+                           {**record, **extra, "wall_s": time.perf_counter() - start})
+
+    def end(sign):
+        """The min (sign 1) or max (sign -1) solve, from the current master."""
+        cost = sign * c_num
+        paths = np.concatenate(found)
+        h.changeColsCost(n + len(paths), np.arange(n + len(paths), dtype=np.int32),
+                         np.concatenate([[sign * d_num], np.zeros(2 * k),
+                                         cost[paths].sum(axis=1)]))
+        failure = solve(cost)
+        if failure:
+            return result(SolveStatus.NUMERICAL_FAILURE, message=failure)
+        x = np.asarray(h.getSolution().col_value)
+        t = float(x[0])
+        if t <= T_FLOOR:
+            raise DegenerateDenominator(f"Charnes-Cooper t = {t:.3e} at optimum")
+        law = np.bincount(np.concatenate(found).ravel(), np.repeat(x[n:] / t, m),
+                          minlength=m * S)
+        miss = float(np.max(np.abs(W[:R] @ law - rhs), initial=0.0))
+        if miss > FEASIBILITY_TOL:
+            return result(SolveStatus.NUMERICAL_FAILURE, t=t,
+                          message=f"path mixture misses a row by {miss:.3e}")
+        ratio = (c_num @ law + d_num) / (W[R] @ law + d_den)
+        return result(SolveStatus.OPTIMAL, law, float(ratio), t=t,
+                      message="path master: Optimal")
+
+    add((np.arange(m + 1)[:, None] <= np.arange(m)) * (S - 1), np.zeros(m * S))
+    failure = solve(np.zeros(m * S), enough=_MASTER_TOL)  # phase 1
+    if failure:
+        res = result(SolveStatus.NUMERICAL_FAILURE, message=failure)
+        return res, res
+    x = np.asarray(h.getSolution().col_value)
+    if x[1:n].sum() > FEASIBILITY_TOL * x[0]:
+        res = result(SolveStatus.INFEASIBLE, message=(
+            f"no path mixture meets the rows: artificials total "
+            f"{x[1:n].sum():.3e} at t = {x[0]:.3e}"))
+        return res, res
+    h.changeColsBounds(2 * k, np.arange(1, n, dtype=np.int32), np.zeros(2 * k),
+                       np.zeros(2 * k))
+    lo = end(1.0)
+    return (lo, lo) if lo.status is not SolveStatus.OPTIMAL else (lo, end(-1.0))
 
 
 def _entropy_dual(v, logref, A, b, n_eq):

@@ -18,26 +18,31 @@ its image over K meet the same rows, every law over K is one over all
 counts, and the LPs over K have the same verdicts, optima and elastic
 slacks as over all n + 1 counts.
 
-This module assembles that polytope once for both maps: the structure
-rows of `structure_rows`, which the hedge's entropy program shares (unit
-row sums, marginal means sum_c s_c p_ic = s_last F(T_i) over the columns'
+This module poses that polytope once for both maps: the structure rows
+of `structure_rows`, which the hedge's entropy program shares (unit row
+sums, marginal means sum_c s_c p_ic = s_last F(T_i) over the columns'
 state values s, the last state the whole pool, and non-decreasing tail
-sums), non-negativity, and one pricing row ``outer(lambda, H' beta)`` per quote,
-an equality at a mid quote or a pair of inequalities for a bid/ask band.
-Both questions share the rest too: the elastic decision LP, which gives
-each quote row a non-negative slack and minimizes their total, with its
-certificate check (repair, validate, map through H, reprice) and its
-`Verdict`, whose law is the default-count `DPM` q under the weak map and
-the generator law p under h; and quote bounds for a tranche that is not
-quoted, an LP for up-front quotes and a linear fractional program for
-running spreads.
-`WeakFeasibilityProblem` selects the kink states here;
+sums), non-negativity, and one pricing row ``outer(lambda, H' beta)`` per
+quote, an equality at a mid quote or a pair of inequalities for a bid/ask
+band. Both questions share the rest too: the elastic decision LP over
+the full polytope, which gives each quote row a non-negative slack and
+minimizes their total, with its certificate check (repair, validate, map
+through H, reprice) and its `Verdict`, whose law is the default-count
+`DPM` q under the weak map and the generator law p under h; and the quote
+bounds of a tranche, which are solved in path form. Every law of the
+polytope is a mixture of non-decreasing state paths (Strassen 1965), on
+which the monotonicity rows hold by construction. So a bound needs only
+the mass, the means and the quotes, and `opt_backend.solve_path_lfp`
+solves both ends of the target's quote, a ratio of affine forms in the
+law, by column generation over paths; no bound builds the monotonicity
+rows. `WeakFeasibilityProblem` selects the kink states here;
 `strong_compat.StrongFeasibilityProblem` selects H = h.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -140,51 +145,85 @@ def _quote_constraints(snapshot, priced, bid_ask):
 
 @dataclass
 class _Polytope:
-    """Constraint blocks A_eq x = b_eq, A_ub x <= b_ub, x >= 0 of one snapshot.
+    """The polytope of one snapshot, over m rows of one column per state.
 
-    ``x`` holds m rows of one column per state: column c has the state
-    value ``states[c]`` and maps onto the default counts through column c
-    of the (n + 1)-row matrix ``H``, q = p H'. ``generator`` says whether
-    the columns' law p is the certificate (a generator law) or q is. The
-    last ``n_quotes`` rows of A_ub (``bands``) or of A_eq (mid quotes) are
-    the quote rows.
+    Column c has the state value ``states[c]`` and maps onto the default
+    counts through column c of the (n + 1)-row matrix ``H``, q = p H'.
+    ``generator`` says whether the columns' law p is the certificate (a
+    generator law) or q is. ``quotes`` holds the `_quote_constraints`,
+    bands if ``bands``, and ``means`` the m marginal means.
+
+    It has two forms. `A_eq` x = `b_eq`, `A_ub` x <= `b_ub`, x >= 0 is the
+    full one, built on first use: `structure_rows`, then the quote rows,
+    the last ``n_quotes`` rows of A_ub (bands) or of A_eq (mid quotes).
+    `path_rows` is the path form: every law of the polytope is a mixture of
+    non-decreasing state paths (Strassen, Ann. Math. Stat. 36, 1965), on
+    which the monotonicity rows hold by construction, so only the rows
+    that are sums over dates are left.
     """
 
-    A_eq: object
-    b_eq: np.ndarray
-    A_ub: object
-    b_ub: np.ndarray
     m: int
     H: np.ndarray
     states: np.ndarray
-    n_quotes: int
+    means: np.ndarray
+    quotes: list
     bands: bool
     generator = False
 
+    @property
+    def n_quotes(self):
+        return len(self.quotes)
+
+    def _quote_row(self, coeffs):
+        return np.outer(coeffs.lam, self.H.T @ coeffs.beta)
+
+    @cached_property
+    def _blocks(self):
+        """(A_eq, b_eq, A_ub, b_ub): the marginals, then the mid quotes; the
+        monotonicity rows, then the bands."""
+        A_eq, b_eq, A_ub, b_ub = structure_rows(self.m, self.states, self.means)
+        eq_rows, eq_rhs = [A_eq], [b_eq]
+        ub_rows, ub_rhs = [A_ub], [b_ub]
+        for coeffs, side in self.quotes:
+            row = self._quote_row(coeffs).ravel()
+            if side == 0:
+                eq_rows.append(sp.csr_matrix(row[None, :]))
+                eq_rhs.append(np.array([coeffs.gamma]))
+            else:
+                ub_rows.append(sp.csr_matrix(side * row[None, :]))
+                ub_rhs.append(np.array([side * coeffs.gamma]))
+        return (sp.vstack(eq_rows, format="csr"), np.concatenate(eq_rhs),
+                sp.vstack(ub_rows, format="csr"), np.concatenate(ub_rhs))
+
+    A_eq = property(lambda self: self._blocks[0])
+    b_eq = property(lambda self: self._blocks[1])
+    A_ub = property(lambda self: self._blocks[2])
+    b_ub = property(lambda self: self._blocks[3])
+
+    def path_rows(self):
+        """The rows of the path form, (R, m, S), and their right-hand sides.
+
+        The mass (date 1's row sum), the m means and the mid-quote rows: a
+        path's value on each is a sum over dates of a function of its state.
+        """
+        m, S = self.m, len(self.states)
+        rows = np.zeros((1 + m + self.n_quotes, m, S))
+        rows[0, 0] = 1.0
+        rows[1 + np.arange(m), np.arange(m)] = self.states
+        for r, (coeffs, _) in enumerate(self.quotes, 1 + m):
+            rows[r] = self._quote_row(coeffs)
+        return rows, np.concatenate([[1.0], self.means,
+                                     [coeffs.gamma for coeffs, _ in self.quotes]])
+
 
 def _assemble(cls, snapshot, H, states, priced, bid_ask):
-    """`structure_rows` (the last state is the whole pool), then the quote rows.
+    """The problem over the columns ``states``, mapped onto q by ``H``.
 
-    Equalities are the marginals then the mid quotes; inequalities the
-    monotonicity rows then the bands.
+    The last state is the whole pool, so the means are its multiples of F.
     """
-    m = snapshot.schedule.m
-    A_eq, b_eq, A_ub, b_ub = structure_rows(
-        m, states, states[-1] * snapshot.curve.grid(snapshot.schedule))
-    eq_rows, eq_rhs = [A_eq], [b_eq]
-    ub_rows, ub_rhs = [A_ub], [b_ub]
-    constraints = _quote_constraints(snapshot, priced, bid_ask)
-    for coeffs, side in constraints:
-        row = np.outer(coeffs.lam, H.T @ coeffs.beta).ravel()
-        if side == 0:
-            eq_rows.append(sp.csr_matrix(row[None, :]))
-            eq_rhs.append(np.array([coeffs.gamma]))
-        else:
-            ub_rows.append(sp.csr_matrix(side * row[None, :]))
-            ub_rhs.append(np.array([side * coeffs.gamma]))
-    return cls(A_eq=sp.vstack(eq_rows, format="csr"), b_eq=np.concatenate(eq_rhs),
-               A_ub=sp.vstack(ub_rows, format="csr"), b_ub=np.concatenate(ub_rhs),
-               m=m, H=H, states=states, n_quotes=len(constraints), bands=bid_ask)
+    return cls(m=snapshot.schedule.m, H=H, states=states,
+               means=states[-1] * snapshot.curve.grid(snapshot.schedule),
+               quotes=_quote_constraints(snapshot, priced, bid_ask), bands=bid_ask)
 
 
 class WeakFeasibilityProblem(_Polytope):
@@ -332,56 +371,43 @@ def _target(attach, detach, quote_kind, fixed_running):
 
 
 def _bounds(snapshot, problem, target, loss):
-    """(lower, upper) of the target tranche's quote over the problem's polytope.
+    """(lower, upper) of the target tranche's quote over the problem's laws.
 
     ``loss`` is the target's loss vector in the problem's columns, H' beta.
-    An up-front quote is affine in the columns, one LP per end; a running
-    spread is a ratio of affine forms, one Charnes-Cooper LFP per end, whose
-    denominator is the outstanding-notional annuity. A bound solve that ends
-    other than optimal, infeasible included, asks `_elastic`: a quote row
-    that needs more than FEASIBILITY_TOL of slack raises InfeasibleRegion,
-    anything else SolverError, so a solver's "infeasible" on a polytope
-    that is not empty is never reported as one.
+    The target's value v(x) = lambda(x)' q loss - gamma(x) at quote x is
+    affine in x, so its fair quote x = v(0) / (v(0) - v(1)) is a ratio of
+    affine forms in the law; for an up-front quote the denominator is the
+    width. Both ends are solved in path form by
+    `opt_backend.solve_path_lfp`, which never builds the monotonicity rows.
+    Its phase 1 decides whether any law prices the problem's quotes: one
+    that needs more than FEASIBILITY_TOL of slack raises InfeasibleRegion. A
+    master that fails raises SolverError, so a solver's failure is never
+    reported as an empty polytope, and a denominator that can reach zero
+    raises UnboundedRatio.
     """
     sched, disc = snapshot.schedule, snapshot.discount
-    blocks = dict(A_ub=problem.A_ub, b_ub=problem.b_ub,
-                  A_eq=problem.A_eq, b_eq=problem.b_eq)
-    if target.quote_kind == "upfront":
-        running = target.running_spread
-        c = np.outer(lambda_coeffs(running, sched, disc), loss).ravel()
-        gamma0 = gamma_coeff(target, 0.0, running, sched, disc)
+    upfront = target.quote_kind == "upfront"
 
-        def solve(sense):
-            return opt_backend.solve_lp(LinearProgram(
-                c=c, bounds=(0, None), sense=sense, **blocks))
-
-        def quote(res):
-            return (res.objective - gamma0) / target.width
-    else:
-        acc_disc = disc(np.asarray(sched.payment_dates)) * sched.accruals
-        c_num = np.outer(lambda_coeffs(0.0, sched, disc), loss).ravel()
-        c_den = -np.outer(acc_disc, loss).ravel()
-        d_den = target.width * float(acc_disc.sum())
-
-        def solve(sense):
-            return opt_backend.solve_lfp(c_num, 0.0, c_den, d_den, sense=sense,
-                                         **blocks)
-
-        def quote(res):
-            return res.objective
-    out = []
-    for sense in ("min", "max"):
-        try:
-            res = solve(sense)
-        except DegenerateDenominator as exc:
-            raise UnboundedRatio(str(exc)) from exc
+    def value(x):
+        """(lambda, gamma) of the target at quote x."""
+        spread = target.running_spread if upfront else x
+        return (lambda_coeffs(spread, sched, disc),
+                gamma_coeff(target, x if upfront else 0.0, spread, sched, disc))
+    (lam0, gamma0), (lam1, gamma1) = value(0.0), value(1.0)
+    rows, rhs = problem.path_rows()
+    try:
+        ends = opt_backend.solve_path_lfp(
+            rows, rhs, problem.n_quotes, np.outer(lam0, loss), -gamma0,
+            np.outer(lam0 - lam1, loss), gamma1 - gamma0)
+    except DegenerateDenominator as exc:
+        raise UnboundedRatio(str(exc)) from exc
+    for res in ends:
+        if res.status is SolveStatus.INFEASIBLE:
+            law = "generator" if problem.generator else "DPM"
+            raise InfeasibleRegion(f"the constrained {law} polytope is empty")
         if res.status is not SolveStatus.OPTIMAL:
-            if _elastic(problem)[0].status is SolveStatus.INFEASIBLE:
-                law = "generator" if problem.generator else "DPM"
-                raise InfeasibleRegion(f"the constrained {law} polytope is empty")
             raise SolverError(f"bound solve failed: {res.status.value}: {res.message}")
-        out.append(quote(res))
-    return tuple(out)
+    return tuple(res.objective for res in ends)
 
 
 def nonstandard_tranche_bounds(snapshot, attach, detach, quote_kind,

@@ -1,6 +1,6 @@
-"""LP, linear-fractional, and relative-entropy backends on toy instances."""
+"""LP, linear-fractional, path and relative-entropy backends on toy instances."""
 
-import copy
+import itertools
 import json
 import sys
 import types
@@ -13,14 +13,19 @@ from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cdo_compat import opt_backend, range_at_N
+from cdo_compat import opt_backend, verify_strong_at_N
 from cdo_compat.cli import main
+from cdo_compat.dpm_core import validate_dpm
 from cdo_compat.market_model import snapshot_from_dict, snapshot_to_dict
 from cdo_compat.opt_backend import (_HESS_RIDGE, T_CEILING, DegenerateDenominator,
                                     LinearProgram, SolveStatus,
-                                    _newton_direction, solve_lfp, solve_lp,
+                                    _cheapest_paths, _newton_direction,
+                                    solve_lfp, solve_lp, solve_path_lfp,
                                     solve_relative_entropy)
-from cdo_compat.weak_compat import (InfeasibleRegion, nonstandard_tranche_bounds,
+from cdo_compat.strong_compat import StrongFeasibilityProblem
+from cdo_compat.tranche_valuation import (TrancheCoefficients, beta_coeffs,
+                                          lambda_coeffs)
+from cdo_compat.weak_compat import (WeakFeasibilityProblem, _target,
                                     structure_rows, verify_weak,
                                     verify_weak_bid_ask)
 
@@ -76,26 +81,27 @@ def _banded(tranches):
         t["bid_value"], t["ask_value"] = bid, ask
 
 
-def _torn(tranches):
-    # a second equity quote far above the first: no law prices both
-    tranches.append(dict(copy.deepcopy(tranches[0]), quote_value=50.0))
+def _charnes_cooper_bound(snapshot):
+    """`solve_lfp`'s lower 4-8% spread bound over the full weak polytope."""
+    target = _target(0.04, 0.08, "spread", 0.0)
+    problem = WeakFeasibilityProblem.from_snapshot(snapshot, target=target)
+    sched, disc = snapshot.schedule, snapshot.discount
+    loss = problem.H.T @ beta_coeffs(target, snapshot.portfolio)
+    acc_disc = disc(np.asarray(sched.payment_dates)) * sched.accruals
+    return solve_lfp(np.outer(lambda_coeffs(0.0, sched, disc), loss).ravel(), 0.0,
+                     -np.outer(acc_disc, loss).ravel(), target.width * acc_disc.sum(),
+                     A_ub=problem.A_ub, b_ub=problem.b_ub, A_eq=problem.A_eq,
+                     b_eq=problem.b_eq, sense="min")
 
 
-def _empty_polytope_bound(snapshot):
-    with pytest.raises(InfeasibleRegion):
-        nonstandard_tranche_bounds(_edited(snapshot, _torn), 0.0, 0.05, "upfront")
-
-
-# (what `call(snapshot)` solves, which of its LPs to compare)
+# (what `call(snapshot)` solves, which of its LPs to compare); bounds are
+# solved in path form, not through linprog
 PACKAGE_LPS = {
     "weak-elastic-mid": (verify_weak, [0]),
     "weak-elastic-bid-ask": (lambda snap: verify_weak_bid_ask(_edited(snap, _banded)),
                              [0]),
-    "strong-n50-bound-min-max": (lambda snap: range_at_N(snap, [1, 2, 3], 0, N=50),
-                                 [0, 1]),
-    "charnes-cooper-lfp": (lambda snap: nonstandard_tranche_bounds(
-        snap, 0.04, 0.08, "spread"), [0]),
-    "torn-infeasible": (_empty_polytope_bound, [0]),
+    "strong-n50-elastic": (lambda snap: verify_strong_at_N(snap, 50), [0]),
+    "charnes-cooper-lfp": (_charnes_cooper_bound, [0]),
 }
 
 TOY_LPS = {
@@ -107,6 +113,9 @@ TOY_LPS = {
     # x0's coefficient stored as two entries of 0.5
     "repeated-entries": dict(c=[-1.0, -1.0], A_ub=sp.csr_matrix(
         ([0.5, 0.5, 1.0], [0, 0, 1], [0, 3]), shape=(1, 2)), b_ub=[1.0]),
+    # x0 + x1 <= 1 and x0 + 2 x1 >= 3 have no point in common with x >= 0
+    "infeasible": dict(c=[1.0, 1.0], A_ub=np.array([[1.0, 1.0], [-1.0, -2.0]]),
+                       b_ub=[1.0, -3.0]),
 }
 
 
@@ -140,7 +149,7 @@ def _assert_same_answer(args, kwargs):
 def test_linprog_answers_as_scipy_linprog_on_the_package_lps(snapshot, case):
     lps = _package_lps(snapshot, *PACKAGE_LPS[case])
     statuses = [_assert_same_answer(args, kwargs).status for args, kwargs in lps]
-    assert statuses == ([2] if case == "torn-infeasible" else [0] * len(lps))
+    assert statuses == [0] * len(lps)
     if case == "charnes-cooper-lfp":
         bounds = lps[0][1]["bounds"]
         assert isinstance(bounds, list) and bounds[-1] == (0, T_CEILING)
@@ -149,7 +158,7 @@ def test_linprog_answers_as_scipy_linprog_on_the_package_lps(snapshot, case):
 @pytest.mark.parametrize("case", TOY_LPS)
 def test_linprog_answers_as_scipy_linprog_on_toy_lps(case):
     res = _assert_same_answer((), TOY_LPS[case])
-    assert res.status == (3 if case == "unbounded" else 0)
+    assert res.status == {"unbounded": 3, "infeasible": 2}.get(case, 0)
 
 
 @pytest.mark.parametrize("field", ["c", "b_ub", "b_eq", "A_ub", "A_eq"])
@@ -286,6 +295,114 @@ def test_lfp_degenerate_denominator():
         solve_lfp(np.array([0.0, 1.0]), 0.0, np.array([1.0, 0.0]), 0.0,
                   A_ub=np.array([[-1.0, 0.0], [0.0, 1.0]]),
                   b_ub=np.array([-1e13, 1.0]), sense="min")
+
+
+def _monotone_paths(m, S):
+    """Every non-decreasing path of m states out of 0..S-1, one per row."""
+    return np.array(list(itertools.combinations_with_replacement(range(S), m)))
+
+
+def _on_paths(f, paths):
+    """Each path's value sum_i f[i, s_i] of an (m, S) array f."""
+    return f[np.arange(f.shape[0]), paths].sum(axis=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6),
+       st.integers(0, 2 ** 31 - 1), st.sampled_from([np.inf, 0.0, -1.0]))
+def test_cheapest_paths_match_enumeration(m, S, k, seed, below):
+    # the prefix-minimum program against every monotone path; integer costs
+    # (odd seeds) make ties between paths and between end states common
+    rng = np.random.default_rng(seed)
+    cost = (rng.integers(-3, 4, (m, S)).astype(float) if seed % 2
+            else rng.standard_normal((m, S)))
+    every = _monotone_paths(m, S)
+    totals = _on_paths(cost, every)
+    by_end = np.array([totals[every[:, -1] == s].min() for s in range(S)])
+    paths, cheapest = _cheapest_paths(cost, k, below)
+    assert cheapest == pytest.approx(totals.min(), abs=1e-12)
+    assert paths.shape[1] == m and np.all(np.diff(paths, axis=1) >= 0)
+    assert np.all((paths >= 0) & (paths < S))
+    assert len(set(paths[:, -1])) == len(paths)
+    got = _on_paths(cost, paths)
+    np.testing.assert_allclose(got, by_end[paths[:, -1]], rtol=0, atol=1e-12)
+    want = np.sort(by_end)[:k]
+    np.testing.assert_allclose(got, want[want < below], rtol=0, atol=1e-12)
+
+
+def _path_rows(rng, m, S, n_quotes):
+    """The mass, the means of states 0..S-1 and random quote rows, with the
+    right-hand sides of a random mixture of three monotone paths."""
+    every = _monotone_paths(m, S)
+    law = np.zeros((m, S))
+    np.add.at(law, (np.arange(m), every[rng.choice(len(every), 3)]),
+              rng.dirichlet(np.ones(3))[:, None])
+    rows = np.zeros((1 + m + n_quotes, m, S))
+    rows[0, 0] = 1.0
+    rows[1 + np.arange(m), np.arange(m)] = np.arange(S)
+    rows[1 + m:] = rng.standard_normal((n_quotes, m, S))
+    return rows, rows.reshape(len(rows), -1) @ law.ravel()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(2, 5), st.integers(0, 2), st.booleans(),
+       st.integers(0, 2 ** 31 - 1))
+def test_path_lfp_ends_are_those_of_the_lfp_over_every_path(m, S, n_quotes, ratio,
+                                                            seed):
+    # column generation against `solve_lfp` over every monotone path at once;
+    # the ends agreed to 8.9e-14 at most over 2,000 seeded draws of this kind
+    rng = np.random.default_rng(seed)
+    rows, rhs = _path_rows(rng, m, S, n_quotes)
+    num, d_num = rng.standard_normal((m, S)), float(rng.standard_normal())
+    den, d_den = ((rng.uniform(0.0, 1.0, (m, S)), 0.5) if ratio
+                  else (np.zeros((m, S)), 1.0))
+    every = _monotone_paths(m, S)
+    cols = np.array([_on_paths(row, every) for row in rows])
+    ends = solve_path_lfp(rows, rhs, n_quotes, num, d_num, den, d_den)
+    for res, sense in zip(ends, ("min", "max")):
+        ref = solve_lfp(_on_paths(num, every), d_num, _on_paths(den, every), d_den,
+                        A_eq=cols, b_eq=rhs, sense=sense)
+        assert res.status is ref.status is SolveStatus.OPTIMAL
+        assert res.objective == pytest.approx(ref.objective, rel=0, abs=1e-9)
+        # a mixture of monotone paths is a law with ordered tail sums
+        assert validate_dpm(res.x.reshape(m, S)).valid
+        np.testing.assert_allclose(rows.reshape(len(rows), -1) @ res.x, rhs,
+                                   rtol=0, atol=1e-8)
+
+
+def test_path_lfp_reports_rows_that_no_mixture_meets():
+    rng = np.random.default_rng(3)
+    rows, rhs = _path_rows(rng, 3, 4, 2)
+    rows[-1] = 0.0
+    rows[-1, 0] = 1.0  # every path's mass, asked to be 2
+    rhs[-1] = 2.0
+    lo, hi = solve_path_lfp(rows, rhs, 2, rng.standard_normal((3, 4)), 0.0,
+                            np.zeros((3, 4)), 1.0)
+    assert lo is hi and lo.status is SolveStatus.INFEASIBLE and lo.x is None
+
+
+def test_a_path_solve_carries_its_record(snapshot):
+    # the equity tranche's value over N=50 generator laws pricing the others
+    problem = StrongFeasibilityProblem.from_snapshot(snapshot, 50, priced=[1, 2, 3])
+    rows, rhs = problem.path_rows()
+    coeffs = TrancheCoefficients.from_snapshot(snapshot, 0)
+    num = np.outer(coeffs.lam, problem.H.T @ coeffs.beta)
+    lo, hi = solve_path_lfp(rows, rhs, problem.n_quotes, num, -coeffs.gamma,
+                            np.zeros_like(num), 1.0)
+    keys = {"rounds", "columns", "simplex_iterations", "wall_s",
+            "cheapest_reduced_cost", "t"}
+    assert set(lo.extra) == set(hi.extra) == keys
+    m = problem.m
+    for res in (lo, hi):
+        extra = res.extra
+        assert res.status is SolveStatus.OPTIMAL and extra["t"] == 1.0
+        assert extra["rounds"] > 0 and extra["simplex_iterations"] > 0
+        assert m + 1 + extra["rounds"] <= extra["columns"] <= m + 1 + 10 * extra["rounds"]
+        assert extra["cheapest_reduced_cost"] >= -1e-9 and extra["wall_s"] > 0.0
+    # the record is the master's since the call began, which both ends share
+    for key in ("rounds", "columns", "simplex_iterations", "wall_s"):
+        assert hi.extra[key] > lo.extra[key]
+    assert lo.objective < 0.0 < hi.objective  # the equity quote lies inside
 
 
 def test_entropy_projection_is_normalized_reference():

@@ -1,28 +1,33 @@
 """Weak compatibility: feasibility verdicts, constraint blocks, quote bounds."""
 
 import copy
+import types
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from cdo_compat import opt_backend
+from cdo_compat import opt_backend, weak_compat
 from cdo_compat.dpm_core import tail_sums, validate_dpm
 from cdo_compat.market_model import snapshot_from_dict, snapshot_to_dict
-from cdo_compat.opt_backend import SolverError, SolveStatus
-from cdo_compat.strong_compat import (StrongFeasibilityProblem, verify_strong_at_N,
-                                      verify_strong_bid_ask)
+from cdo_compat.opt_backend import (LinearProgram, SolverError, SolveStatus,
+                                    solve_lp)
+from cdo_compat.strong_compat import (StrongFeasibilityProblem,
+                                      nonstandard_names_bounds, range_at_N,
+                                      verify_strong_at_N, verify_strong_bid_ask)
 from cdo_compat.tranche_valuation import (TrancheCoefficients, beta_coeffs,
-                                          coefficients_for, expected_npv)
+                                          coefficients_for, expected_npv,
+                                          gamma_coeff, lambda_coeffs)
 from cdo_compat.weak_compat import (InfeasibleRegion, InvalidQuotes,
                                     UnboundedRatio, WeakFeasibilityProblem,
                                     _assemble, _bounds, _target, _verify,
                                     kink_states, nonstandard_tranche_bounds,
                                     structure_rows, verify_weak,
-                                    verify_weak_bid_ask)
+                                    verify_weak_bid_ask, weak_range)
 
 from conftest import tail_rows
 
@@ -276,27 +281,115 @@ def test_bounds_on_infeasible_quotes_raise(snapshot):
         nonstandard_tranche_bounds(torn, 0.0, 0.05, "spread")
 
 
-@pytest.mark.parametrize("kind, backend", [("upfront", "solve_lp"),
-                                           ("spread", "solve_lfp")])
-def test_a_bound_solve_that_says_infeasible_is_checked(snapshot, monkeypatch,
-                                                       kind, backend):
-    # the fixture's polytope is not empty: a bound solve that reports status
-    # 2 anyway is confirmed with the elastic LP, which needs no slack, so it
-    # is a solver failure, not an empty region
-    real = getattr(opt_backend, backend)
-    calls = []
+@pytest.mark.parametrize("kind", ["upfront", "spread"])
+def test_the_torn_snapshot_is_empty_in_path_form(snapshot, monkeypatch, kind):
+    # phase 1 of the path master finds no mixture that prices both equity
+    # quotes; no bound LP goes to linprog
+    ends, lps = [], []
+    real_master, real_linprog = opt_backend.solve_path_lfp, opt_backend.linprog
 
-    def first_says_infeasible(*args, **kwargs):
-        calls.append(backend)
-        if len(calls) == 1:
-            return opt_backend.SolveResult(SolveStatus.INFEASIBLE,
-                                           message="forced status 2")
-        return real(*args, **kwargs)
+    def master(*args, **kwargs):
+        ends.extend(real_master(*args, **kwargs))
+        return ends[-2:]
 
-    monkeypatch.setattr(opt_backend, backend, first_says_infeasible)
-    with pytest.raises(SolverError, match="forced status 2"):
+    def linprog(*args, **kwargs):
+        lps.append(args)
+        return real_linprog(*args, **kwargs)
+    monkeypatch.setattr(opt_backend, "solve_path_lfp", master)
+    monkeypatch.setattr(opt_backend, "linprog", linprog)
+    with pytest.raises(InfeasibleRegion, match="DPM polytope is empty"):
+        nonstandard_tranche_bounds(_torn_snapshot(snapshot), 0.0, 0.05, kind,
+                                   fixed_running=0.01)
+    assert [res.status for res in ends] == [SolveStatus.INFEASIBLE] * 2
+    assert lps == []
+
+
+@pytest.mark.parametrize("phase", ["phase-1", "phase-2"])
+@pytest.mark.parametrize("kind", ["upfront", "spread"])
+def test_a_master_that_ends_non_optimal_is_a_solver_failure(snapshot, monkeypatch,
+                                                            kind, phase):
+    # the fixture's polytope is not empty: a master run that ends
+    # "infeasible" anyway, in phase 1 or in the min solve after it, is a
+    # solver failure, never an empty region
+    class Failing(opt_backend.highs._Highs):
+        costs_changed = False
+
+        def changeColsCost(self, *args):
+            self.costs_changed = True
+            return super().changeColsCost(*args)
+
+        def getModelStatus(self):
+            if self.costs_changed == (phase == "phase-2"):
+                return opt_backend.highs.HighsModelStatus.kInfeasible
+            return super().getModelStatus()
+
+    monkeypatch.setattr(opt_backend, "highs", types.SimpleNamespace(
+        **{**vars(opt_backend.highs), "_Highs": Failing}))
+    with pytest.raises(SolverError, match="path master: model status Infeasible"):
         nonstandard_tranche_bounds(snapshot, 0.04, 0.08, kind,
                                    fixed_running=0.01)
+
+
+def test_no_bound_builds_the_monotonicity_rows(snapshot, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a bound built the full polytope")
+    monkeypatch.setattr(weak_compat, "structure_rows", refuse)
+    range_at_N(snapshot, [1, 2, 3], 0, 50)
+    nonstandard_names_bounds(snapshot, 50, 100, 0.06, 0.12, "spread")
+    nonstandard_tranche_bounds(snapshot, 0.04, 0.08, "upfront", fixed_running=0.01)
+    weak_range(snapshot, [0, 1, 2], 3)
+    with pytest.raises(AssertionError, match="full polytope"):
+        verify_weak(snapshot)
+
+
+def _full_polytope_range(snapshot, problem, tranche):
+    """The tranche's quote range over the full polytope, in display units.
+
+    An up-front quote is affine in the law: one LP per end. A spread is the
+    Charnes-Cooper LP in (y, t) = (t x, t): the rows made homogeneous, and
+    the outstanding-notional annuity times t equal to 1.
+    """
+    sched, disc = snapshot.schedule, snapshot.discount
+    loss = problem.H.T @ beta_coeffs(tranche, snapshot.portfolio)
+    if tranche.quote_kind == "upfront":
+        run = tranche.running_spread
+        gamma0 = gamma_coeff(tranche, 0.0, run, sched, disc)
+        ends = [solve_lp(LinearProgram(
+            c=np.outer(lambda_coeffs(run, sched, disc), loss).ravel(), sense=sense,
+            A_ub=problem.A_ub, b_ub=problem.b_ub, A_eq=problem.A_eq,
+            b_eq=problem.b_eq)).objective for sense in ("min", "max")]
+        return [(end - gamma0) / tranche.width * 100.0 for end in ends]
+    acc_disc = disc(np.asarray(sched.payment_dates)) * sched.accruals
+    den = np.append(-np.outer(acc_disc, loss).ravel(), tranche.width * acc_disc.sum())
+    A_eq = sp.vstack([sp.hstack([problem.A_eq, -problem.b_eq[:, None]]),
+                      sp.csr_matrix(den[None, :])])
+    ends = [solve_lp(LinearProgram(
+        c=np.append(np.outer(lambda_coeffs(0.0, sched, disc), loss).ravel(), 0.0),
+        A_ub=sp.hstack([problem.A_ub, -problem.b_ub[:, None]]),
+        b_ub=np.zeros(problem.A_ub.shape[0]),
+        A_eq=A_eq, b_eq=np.append(np.zeros(problem.A_eq.shape[0]), 1.0),
+        sense=sense)).objective for sense in ("min", "max")]
+    return [end * 1e4 for end in ends]
+
+
+@pytest.mark.parametrize("form, l, tol", [
+    # measured: strong N=50 ends within 1.6e-7, weak ends within 3.6e-12
+    pytest.param(form, l, tol, id=f"{form}-{l}")
+    for form, tol in (("strong", 1e-6), ("weak", 1e-10)) for l in range(4)])
+def test_path_form_agrees_with_the_full_polytope(snapshot, form, l, tol):
+    # each tranche's range over the laws that price the other three, in
+    # display units (pct, bp), against the full polytope's LPs at HiGHS's
+    # default tolerances
+    others = [k for k in range(4) if k != l]
+    if form == "strong":
+        problem = StrongFeasibilityProblem.from_snapshot(snapshot, 50, priced=others)
+        got = range_at_N(snapshot, others, l, 50)
+    else:
+        problem = WeakFeasibilityProblem.from_snapshot(snapshot, priced=others)
+        got = weak_range(snapshot, others, l)
+    scale = 100.0 if snapshot.tranches[l].quote_kind == "upfront" else 1e4
+    ref = _full_polytope_range(snapshot, problem, snapshot.tranches[l])
+    np.testing.assert_allclose(np.multiply(got, scale), ref, rtol=0, atol=tol)
 
 
 def test_bounds_reject_bad_inputs(snapshot):
@@ -339,7 +432,9 @@ def _weak_answers(snapshot, problem, targets):
 
     ``problem(snapshot, bid_ask, target)`` gives the polytope; a bound that
     raises is answered by the exception's name. Also returns the largest
-    residual of the points HiGHS returned, inf if a solve failed.
+    residual of the points HiGHS returned to `solve_lp`, inf if a solve
+    failed: the verdicts' elastic LPs. The bounds are solved in path form,
+    whose laws meet their rows within FEASIBILITY_TOL or raise.
     """
     residuals = [0.0]
     solve = opt_backend.solve_lp
@@ -447,10 +542,11 @@ def _kinked_snapshots(draw):
 def test_kink_states_give_the_answers_of_every_count(case):
     # the verdicts, the total elastic slacks and the upfront and spread
     # bounds of a target tranche over K equal those over all n + 1 counts.
-    # HiGHS meets rows only to its 1e-7 feasibility tolerance, on either
-    # polytope, and an optimum read off a point that misses its rows by more
-    # than 1e-9 is that far off too, so such a draw cannot be compared at
-    # 1e-9 (about 1 draw in 15; the all-counts LP misses more often)
+    # HiGHS meets the elastic LPs' rows only to its 1e-7 feasibility
+    # tolerance, on either polytope, and an optimum read off a point that
+    # misses its rows by more than 1e-9 is that far off too, so such a draw
+    # cannot be compared at 1e-9 (about 1 draw in 15; the all-counts LP
+    # misses more often)
     snapshot, targets = case
     kinks, kink_residual = _weak_answers(snapshot, _kink_states, targets)
     every, every_residual = _weak_answers(snapshot, _all_states, targets)
