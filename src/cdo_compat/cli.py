@@ -138,7 +138,7 @@ def _verdict(res, label, task=None, **fields):
         word += f"; no {task}"
     payload = {"compatible": res.feasible, **fields,
                "status": res.status.value, "certificate": res.certificate,
-               "slack": res.slack}
+               "slack": res.slack, "bound": res.bound}
     return payload, [f"{label}: {word}", res.certificate], code
 
 

@@ -2,9 +2,12 @@
 
 Every linear program, linear-fractional program, and relative-entropy
 program in the package is solved through this module, so the modeling code
-never names a solver. Every LP goes to the HiGHS that scipy bundles, in
-one call through its binding (`linprog`), with no setting to select, so
-its result depends on its inputs alone. The relative-entropy program is
+never names a solver. Every LP goes to the HiGHS that scipy bundles through
+its binding, with no setting to select, so its result depends on its
+inputs alone. The verdicts' elastic LP and the bounds' LFPs run over
+mixtures of monotone state paths, on one column-generation master
+(`_PathMaster`: `solve_path_elastic`, `solve_path_lfp`); an LP in matrix
+form goes to HiGHS in one call (`linprog`). The relative-entropy program is
 solved on its dual by projected Newton, with the primal recovered in
 closed form. Each Newton system H d = r, H = A_F Q A_F' over the free
 rows, is factored as (D A_F) Q (D A_F)' y = D r, d = D'y, where D
@@ -351,92 +354,117 @@ def _cheapest_paths(cost, k, below):
     return paths, float(v.min())
 
 
-def solve_path_lfp(rows, rhs, n_elastic, c_num, d_num, c_den, d_den):
-    """Min and max of (c_num(w) + d_num) / (c_den(w) + d_den) over path mixtures w.
+def _elastic_bound(rows, rhs, sides, y):
+    """A checked lower bound on the least total slack of `solve_path_elastic`.
+
+    ``rows`` (R, m, S), ``rhs`` and ``sides`` are that function's, and ``y``
+    any R row multipliers. Each elastic row's multiplier is clipped to what
+    its artificials' reduced costs allow: [-1, 1] on an equality, [-1, 0] on
+    an upper band and [0, 1] on a lower one; the others are free. Every
+    mixture of unit mass then has a total slack of at least y'rhs plus its
+    reduced cost, by weak duality, so y'rhs + min(0, cheapest path), priced
+    by `_cheapest_paths` over every monotone path, bounds the least total
+    slack without trusting the solver that gave y.
+    """
+    rows = np.asarray(rows, float)
+    sides = np.asarray(sides, float)
+    y = np.array(y, float)
+    k = len(sides)
+    y[len(y) - k:] = np.clip(y[len(y) - k:], np.where(sides < 0, 0.0, -1.0),
+                             np.where(sides > 0, 0.0, 1.0))
+    _, cheapest = _cheapest_paths(-np.tensordot(y, rows, 1), 1, np.inf)
+    return float(y @ np.asarray(rhs, float) + min(0.0, cheapest))
+
+
+class _PathMaster:
+    """One HiGHS master over mixtures of non-decreasing state paths.
 
     A path is a non-decreasing sequence s_1 <= ... <= s_m of states 0..S-1.
     An (m, S) array f takes the value f(s) = sum_i f[i, s_i] on a path and
-    sum_s w_s f(s) on a mixture w >= 0 of paths. The mixtures meet the rows
-    f_r(w) = rhs_r of ``rows`` (R, m, S); the denominator must be positive
-    on them.
+    sum_s w_s f(s) on a mixture w >= 0 of paths. The mixtures are to meet
+    the rows f_r(w) = rhs_r of ``rows`` (R, m, S); the last len(``sides``)
+    are elastic, each an equality (side 0), the upper band f_r(w) <= rhs_r
+    (side 1) or the lower band f_r(w) >= rhs_r (side -1).
 
-    Column generation (Gilmore and Gomory, Oper. Res. 9, 1961) on one HiGHS
-    master that both solves share. Its columns are y = t w over the paths
-    found so far and the Charnes-Cooper t in [0, T_CEILING]; its rows are
-    the R rows made homogeneous, f_r(y) - rhs_r t = 0, and the
-    normalization c_den(y) + d_den t = 1. It starts from the m + 1 paths
-    that jump from state 0 to S - 1 at one date or never, which must meet
-    every row but the last ``n_elastic``. Those get one artificial column
-    per sign, and phase 1 minimizes the artificials' total. Then they are
-    fixed at 0, and the min and the max solve run in turn. Each round
-    prices every path against the master's row multipliers with
+    Column generation (Gilmore and Gomory, Oper. Res. 9, 1961). The
+    master's columns are y = t w over the paths found so far, the
+    Charnes-Cooper t in [0, T_CEILING] and the artificials; its rows are the
+    R rows made homogeneous, f_r(y) - rhs_r t, and the normalization
+    c_den(y) + d_den t = 1. An elastic equality gets one artificial per
+    sign, a band one that widens it, side (f_r(y) - rhs_r t) - a <= 0. The
+    master starts from the m + 1 paths that jump from state 0 to S - 1 at
+    one date or never, which must meet every row but the elastic ones. Each
+    round prices every path against the master's row multipliers with
     `_cheapest_paths` and adds the (at most _PATHS_PER_ROUND) paths whose
     reduced cost is below -_PRICE_TOL; a solve ends when there is none. The
     master runs primal simplex without presolve at _MASTER_TOL, each run
-    from the last basis.
-
-    Returns the (min, max) SolveResults; an end that a failure kept from
-    running repeats that failure. ``x`` is the mixture's law over (date,
-    state), ravelled, and ``objective`` the ratio on it, both recomputed
-    here; a law that misses a row by more than FEASIBILITY_TOL is
-    NUMERICAL_FAILURE. A phase 1 that ends with artificials above
-    FEASIBILITY_TOL t is INFEASIBLE; a master that ends other than optimal,
-    or after _ROUNDS rounds, is NUMERICAL_FAILURE. ``extra`` is the master's
-    record when the result was read: ``rounds``, path ``columns``,
-    ``simplex_iterations`` and ``wall_s`` since the call began, and the
-    ``cheapest_reduced_cost`` of the last pricing (and ``t`` at an end).
-    Raises DegenerateDenominator if t is at or below T_FLOOR at an end, and
-    SolverError if HiGHS refuses the model or a column.
+    from the last basis. ``record`` counts the ``rounds``, path ``columns``
+    and ``simplex_iterations`` since it was made, with the
+    ``cheapest_reduced_cost`` of the last pricing. Raises SolverError if
+    HiGHS refuses the model or a column.
     """
-    start = time.perf_counter()
-    rows, rhs = np.asarray(rows, float), np.asarray(rhs, float)
-    R, m, S = rows.shape
-    # column i S + s of W holds every row's value at state s on date i; a
-    # path's master column is the sum of its m cells
-    W = np.concatenate([rows, np.asarray(c_den, float)[None]]).reshape(R + 1, m * S)
-    cells = np.ascontiguousarray(W.T)
-    c_num = np.asarray(c_num, float).ravel()
-    flat = np.arange(m) * S  # a path's cells are flat + its states
-    k = n_elastic
-    # t, then k artificials of each sign, then the paths
-    fixed = np.zeros((R + 1, 1 + 2 * k))
-    fixed[:, 0] = np.append(-rhs, d_den)
-    fixed[R - k:R, 1:] = np.hstack([np.eye(k), -np.eye(k)])
-    A = sp.csc_array(fixed)
-    n = A.shape[1]
-    bound = np.append(np.zeros(R), 1.0)
-    h = highs._Highs()
-    for option, value in (("output_flag", False), ("presolve", "off"),
-                          ("simplex_strategy", 4),  # primal
-                          ("primal_feasibility_tolerance", _MASTER_TOL),
-                          ("dual_feasibility_tolerance", _MASTER_TOL)):
-        h.setOptionValue(option, value)
-    if h.passModel(n, R + 1, A.nnz, highs.MatrixFormat.kColwise,
-                   highs.ObjSense.kMinimize, 0.0, np.append(0.0, np.ones(2 * k)),
-                   np.zeros(n), np.append(T_CEILING, np.full(2 * k, np.inf)),
-                   bound, bound, A.indptr, A.indices, A.data,
-                   np.zeros(n, np.int32)) == highs.HighsStatus.kError:
-        raise SolverError("path master: HiGHS refused the model")
-    found = []  # each round's paths, as (j, m) arrays of cells
-    record = {"rounds": 0, "columns": 0, "simplex_iterations": 0,
-              "cheapest_reduced_cost": None}
 
-    def add(paths, cost):
-        new = flat + paths
-        cols = cells[new].sum(axis=1)
+    def __init__(self, rows, rhs, sides, c_den, d_den):
+        self.start = time.perf_counter()
+        rows, sides = np.asarray(rows, float), np.asarray(sides, float)
+        self.rhs, self.d_den, self.k = np.asarray(rhs, float), d_den, len(sides)
+        R, self.m, self.S = rows.shape
+        k = self.k
+        # column i S + s of W holds every row's value at state s on date i; a
+        # path's master column is the sum of its m cells
+        self.W = np.concatenate([rows, np.asarray(c_den, float)[None]]).reshape(
+            R + 1, self.m * self.S)
+        self.cells = np.ascontiguousarray(self.W.T)
+        self.flat = np.arange(self.m) * self.S  # a path's cells are flat + its states
+        self.side = np.append(np.zeros(R - k), sides)
+        elastic = np.arange(R - k, R)
+        plus, minus = elastic[sides <= 0], elastic[sides >= 0]
+        # t, then the artificials: +1 on each elastic row not bounded above,
+        # then -1 on each not bounded below; then the paths
+        self.n = n = 1 + len(plus) + len(minus)
+        fixed = np.zeros((R + 1, n))
+        fixed[:, 0] = np.append(-self.rhs, d_den)
+        fixed[plus, 1 + np.arange(len(plus))] = 1.0
+        fixed[minus, 1 + len(plus) + np.arange(len(minus))] = -1.0
+        A = sp.csc_array(fixed)
+        lower = np.append(np.where(self.side > 0, -np.inf, 0.0), 1.0)
+        upper = np.append(np.where(self.side < 0, np.inf, 0.0), 1.0)
+        self.h = h = highs._Highs()
+        for option, value in (("output_flag", False), ("presolve", "off"),
+                              ("simplex_strategy", 4),  # primal
+                              ("primal_feasibility_tolerance", _MASTER_TOL),
+                              ("dual_feasibility_tolerance", _MASTER_TOL)):
+            h.setOptionValue(option, value)
+        if h.passModel(n, R + 1, A.nnz, highs.MatrixFormat.kColwise,
+                       highs.ObjSense.kMinimize, 0.0, np.append(0.0, np.ones(n - 1)),
+                       np.zeros(n), np.append(T_CEILING, np.full(n - 1, np.inf)),
+                       lower, upper, A.indptr, A.indices, A.data,
+                       np.zeros(n, np.int32)) == highs.HighsStatus.kError:
+            raise SolverError("path master: HiGHS refused the model")
+        self.found = []  # each round's paths, as (j, m) arrays of cells
+        self.y = None  # the row multipliers of the last run
+        self.record = {"rounds": 0, "columns": 0, "simplex_iterations": 0,
+                       "cheapest_reduced_cost": None}
+        self._add((np.arange(self.m + 1)[:, None] <= np.arange(self.m)) * (self.S - 1),
+                  np.zeros(self.m * self.S))
+
+    def _add(self, paths, cost):
+        new = self.flat + paths
+        cols = self.cells[new].sum(axis=1)
         nz = cols != 0.0
         per_col = nz.sum(axis=1)
-        if h.addCols(len(new), cost[new].sum(axis=1), np.zeros(len(new)),
-                     np.full(len(new), np.inf), int(per_col.sum()),
-                     np.append(0, np.cumsum(per_col)[:-1]).astype(np.int32),
-                     np.nonzero(nz)[1].astype(np.int32),
-                     cols[nz]) == highs.HighsStatus.kError:
+        if self.h.addCols(len(new), cost[new].sum(axis=1), np.zeros(len(new)),
+                          np.full(len(new), np.inf), int(per_col.sum()),
+                          np.append(0, np.cumsum(per_col)[:-1]).astype(np.int32),
+                          np.nonzero(nz)[1].astype(np.int32),
+                          cols[nz]) == highs.HighsStatus.kError:
             raise SolverError("path master: HiGHS refused a path column")
-        found.append(new)
-        record["columns"] += len(new)
+        self.found.append(new)
+        self.record["columns"] += len(new)
 
-    def solve(cost, enough=-np.inf):
+    def _solve(self, cost, enough=-np.inf):
         """Price and grow until no path enters; a failure's message, or None."""
+        h, record = self.h, self.record
         while True:
             ran = h.run() != highs.HighsStatus.kError
             model = h.getModelStatus()
@@ -444,59 +472,151 @@ def solve_path_lfp(rows, rhs, n_elastic, c_num, d_num, c_den, d_den):
             record["simplex_iterations"] += info.simplex_iteration_count
             if not ran or model != _Model.kOptimal:
                 return f"path master: model status {h.modelStatusToString(model)}"
-            y = np.asarray(h.getSolution().row_dual)
+            self.y = np.asarray(h.getSolution().row_dual)
             paths, record["cheapest_reduced_cost"] = _cheapest_paths(
-                (cost - y @ W).reshape(m, S), _PATHS_PER_ROUND, -_PRICE_TOL)
+                (cost - self.y @ self.W).reshape(self.m, self.S), _PATHS_PER_ROUND,
+                -_PRICE_TOL)
             if not len(paths) or info.objective_function_value <= enough:
                 return None
             if record["rounds"] == _ROUNDS:
                 return f"path master: no optimum after {_ROUNDS} rounds"
-            add(paths, cost)
+            self._add(paths, cost)
             record["rounds"] += 1
 
-    def result(status, x=None, objective=None, message="", **extra):
+    def _result(self, status, x=None, objective=None, message="", **extra):
         return SolveResult(status, x, objective, message,
-                           {**record, **extra, "wall_s": time.perf_counter() - start})
+                           {**self.record, **extra,
+                            "wall_s": time.perf_counter() - self.start})
 
-    def end(sign):
-        """The min (sign 1) or max (sign -1) solve, from the current master."""
-        cost = sign * c_num
-        paths = np.concatenate(found)
-        h.changeColsCost(n + len(paths), np.arange(n + len(paths), dtype=np.int32),
-                         np.concatenate([[sign * d_num], np.zeros(2 * k),
-                                         cost[paths].sum(axis=1)]))
-        failure = solve(cost)
-        if failure:
-            return result(SolveStatus.NUMERICAL_FAILURE, message=failure)
-        x = np.asarray(h.getSolution().col_value)
+    def _read(self):
+        """t, the mixture's law over (date, state), ravelled, and its rows' slack.
+
+        A row's slack is f_r - rhs_r on an equality and the part of it
+        outside the band on a band. Raises DegenerateDenominator if t is at
+        or below T_FLOOR.
+        """
+        x = np.asarray(self.h.getSolution().col_value)
         t = float(x[0])
         if t <= T_FLOOR:
             raise DegenerateDenominator(f"Charnes-Cooper t = {t:.3e} at optimum")
-        law = np.bincount(np.concatenate(found).ravel(), np.repeat(x[n:] / t, m),
-                          minlength=m * S)
-        miss = float(np.max(np.abs(W[:R] @ law - rhs), initial=0.0))
-        if miss > FEASIBILITY_TOL:
-            return result(SolveStatus.NUMERICAL_FAILURE, t=t,
-                          message=f"path mixture misses a row by {miss:.3e}")
-        ratio = (c_num @ law + d_num) / (W[R] @ law + d_den)
-        return result(SolveStatus.OPTIMAL, law, float(ratio), t=t,
-                      message="path master: Optimal")
+        law = np.bincount(np.concatenate(self.found).ravel(),
+                          np.repeat(x[self.n:] / t, self.m), minlength=self.m * self.S)
+        value = self.W[:-1] @ law - self.rhs
+        side = self.side
+        return t, law, np.where(side == 0.0, value, side * np.maximum(side * value, 0.0))
 
-    add((np.arange(m + 1)[:, None] <= np.arange(m)) * (S - 1), np.zeros(m * S))
-    failure = solve(np.zeros(m * S), enough=_MASTER_TOL)  # phase 1
-    if failure:
-        res = result(SolveStatus.NUMERICAL_FAILURE, message=failure)
+    def phase1(self):
+        """Minimize the artificials' total, then decide on the mixture's law.
+
+        INFEASIBLE when an elastic row's slack exceeds FEASIBILITY_TOL,
+        FEASIBLE otherwise, and then the artificials are fixed at 0 for the
+        solves that follow; a law that misses another row by more than
+        FEASIBILITY_TOL is NUMERICAL_FAILURE. ``x`` is the law,
+        ``objective`` its total slack, and ``extra`` adds ``t``, each
+        elastic row's ``slack`` and the last ``row_dual`` of the R rows.
+        """
+        failure = self._solve(np.zeros(self.m * self.S), enough=_MASTER_TOL)
+        if failure:
+            return self._result(SolveStatus.NUMERICAL_FAILURE, message=failure)
+        t, law, slack = self._read()
+        slack, exact = slack[len(slack) - self.k:], slack[:len(slack) - self.k]
+        miss = float(np.max(np.abs(exact), initial=0.0))
+        if miss > FEASIBILITY_TOL:
+            return self._result(SolveStatus.NUMERICAL_FAILURE, t=t,
+                                message=f"path mixture misses a row by {miss:.3e}")
+        total = float(np.abs(slack).sum())
+        if np.max(np.abs(slack), initial=0.0) > FEASIBILITY_TOL:
+            status = SolveStatus.INFEASIBLE
+            message = f"no path mixture meets the rows: total slack {total:.3e}"
+        else:
+            status, message = SolveStatus.FEASIBLE, "path master: Optimal"
+            n = self.n
+            self.h.changeColsBounds(n - 1, np.arange(1, n, dtype=np.int32),
+                                    np.zeros(n - 1), np.zeros(n - 1))
+        return self._result(status, law, total, message, t=t, slack=slack,
+                            row_dual=self.y[:-1])
+
+    def end(self, sign, c_num, d_num):
+        """The min (sign 1) or max (sign -1) of the ratio, from the current master.
+
+        A law that misses a row by more than FEASIBILITY_TOL is
+        NUMERICAL_FAILURE.
+        """
+        n = self.n
+        cost = sign * c_num
+        paths = np.concatenate(self.found)
+        self.h.changeColsCost(n + len(paths), np.arange(n + len(paths), dtype=np.int32),
+                              np.concatenate([[sign * d_num], np.zeros(n - 1),
+                                              cost[paths].sum(axis=1)]))
+        failure = self._solve(cost)
+        if failure:
+            return self._result(SolveStatus.NUMERICAL_FAILURE, message=failure)
+        t, law, slack = self._read()
+        miss = float(np.max(np.abs(slack), initial=0.0))
+        if miss > FEASIBILITY_TOL:
+            return self._result(SolveStatus.NUMERICAL_FAILURE, t=t,
+                                message=f"path mixture misses a row by {miss:.3e}")
+        ratio = (c_num @ law + d_num) / (self.W[-1] @ law + self.d_den)
+        return self._result(SolveStatus.OPTIMAL, law, float(ratio), t=t,
+                            message="path master: Optimal")
+
+
+def solve_path_elastic(rows, rhs, sides):
+    """Least total slack over path mixtures: phase 1 of `_PathMaster` alone.
+
+    ``rows`` (R, m, S) and ``rhs`` as in `_PathMaster`, the last
+    len(``sides``) rows elastic with those sides; the master has t = 1. This
+    is the elastic LP (Chinneck, *Feasibility and Infeasibility in
+    Optimization*, 2008) over mixtures of monotone paths. Returns phase 1's
+    SolveResult: FEASIBLE, INFEASIBLE or NUMERICAL_FAILURE, with the law
+    and each elastic row's slack (see `_PathMaster.phase1`) on a decision.
+    An INFEASIBLE result's ``extra`` adds the ``bound`` of `_elastic_bound`
+    at the master's last multipliers, and one whose bound is at or below
+    FEASIBILITY_TOL proves nothing, so it is NUMERICAL_FAILURE. So is a
+    model or column that HiGHS refuses.
+    """
+    try:
+        res = _PathMaster(rows, rhs, sides, np.zeros(np.shape(rows)[1:]), 1.0).phase1()
+    except SolverError as exc:
+        return SolveResult(SolveStatus.NUMERICAL_FAILURE, message=str(exc))
+    if res.status is SolveStatus.INFEASIBLE:
+        bound = res.extra["bound"] = _elastic_bound(rows, rhs, sides,
+                                                    res.extra["row_dual"])
+        if bound <= FEASIBILITY_TOL:
+            res.status = SolveStatus.NUMERICAL_FAILURE
+            res.message = (f"{res.message}, but its checked lower bound is "
+                           f"{bound:.3e}")
+    return res
+
+
+def solve_path_lfp(rows, rhs, n_elastic, c_num, d_num, c_den, d_den):
+    """Min and max of (c_num(w) + d_num) / (c_den(w) + d_den) over path mixtures w.
+
+    The mixtures meet the rows of ``rows`` (R, m, S) at ``rhs``, as in
+    `_PathMaster`, the last ``n_elastic`` elastic equalities; the
+    denominator must be positive on them. One master serves both solves:
+    its phase 1 decides whether a mixture meets the rows, and the min and
+    the max solve run in turn from where it ends.
+
+    Returns the (min, max) SolveResults; an end that a failure kept from
+    running repeats that failure, and an INFEASIBLE phase 1 is both ends,
+    without a law. ``x`` is the mixture's law over (date, state), ravelled,
+    and ``objective`` the ratio on it, both recomputed here. ``extra`` is
+    the master's record when the result was read, with ``wall_s`` since the
+    call began (and ``t`` at an end). Raises DegenerateDenominator if t is
+    at or below T_FLOOR at an end, and SolverError if HiGHS refuses the
+    model or a column.
+    """
+    master = _PathMaster(rows, rhs, np.zeros(n_elastic), c_den, d_den)
+    first = master.phase1()
+    if first.status is not SolveStatus.FEASIBLE:
+        res = SolveResult(first.status, message=first.message, extra=first.extra)
         return res, res
-    x = np.asarray(h.getSolution().col_value)
-    if x[1:n].sum() > FEASIBILITY_TOL * x[0]:
-        res = result(SolveStatus.INFEASIBLE, message=(
-            f"no path mixture meets the rows: artificials total "
-            f"{x[1:n].sum():.3e} at t = {x[0]:.3e}"))
-        return res, res
-    h.changeColsBounds(2 * k, np.arange(1, n, dtype=np.int32), np.zeros(2 * k),
-                       np.zeros(2 * k))
-    lo = end(1.0)
-    return (lo, lo) if lo.status is not SolveStatus.OPTIMAL else (lo, end(-1.0))
+    c_num = np.asarray(c_num, float).ravel()
+    lo = master.end(1.0, c_num, d_num)
+    if lo.status is not SolveStatus.OPTIMAL:
+        return lo, lo
+    return lo, master.end(-1.0, c_num, d_num)
 
 
 def _entropy_dual(v, logref, A, b, n_eq):

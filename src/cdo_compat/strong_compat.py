@@ -13,10 +13,9 @@ module supplies h, computes N-dependent price ranges (the iterative
 verification algorithm walks them across a resolution sequence) and quote
 bounds for pools with a nonstandard number of names, and builds the
 generator sampler and the two-gamma-process distortion used for simulation.
-Ranges and bounds are solved in path form: over mixtures of non-decreasing
-generator-state paths, on one column-generation master per call, so they
-never build the (m - 1) N monotonicity rows; verdicts solve the full
-polytope's elastic LP.
+Verdicts, ranges and bounds are solved in path form: over mixtures of
+non-decreasing generator-state paths, on one column-generation master per
+call, so they never build the (m - 1) N monotonicity rows.
 """
 
 from __future__ import annotations

@@ -24,19 +24,21 @@ sums, marginal means sum_c s_c p_ic = s_last F(T_i) over the columns'
 state values s, the last state the whole pool, and non-decreasing tail
 sums), non-negativity, and one pricing row ``outer(lambda, H' beta)`` per
 quote, an equality at a mid quote or a pair of inequalities for a bid/ask
-band. Both questions share the rest too: the elastic decision LP over
-the full polytope, which gives each quote row a non-negative slack and
-minimizes their total, with its certificate check (repair, validate, map
-through H, reprice) and its `Verdict`, whose law is the default-count
-`DPM` q under the weak map and the generator law p under h; and the quote
-bounds of a tranche, which are solved in path form. Every law of the
-polytope is a mixture of non-decreasing state paths (Strassen 1965), on
-which the monotonicity rows hold by construction. So a bound needs only
-the mass, the means and the quotes, and `opt_backend.solve_path_lfp`
-solves both ends of the target's quote, a ratio of affine forms in the
-law, by column generation over paths; no bound builds the monotonicity
-rows. `WeakFeasibilityProblem` selects the kink states here;
-`strong_compat.StrongFeasibilityProblem` selects H = h.
+band. Every law of the polytope is a mixture of non-decreasing state paths
+(Strassen 1965), on which the monotonicity rows hold by construction, so
+both questions are solved in path form, over the mass, the means and the
+quotes alone, by column generation on one `opt_backend` master. The
+verdict is the master's phase 1, the elastic decision LP, which gives each
+quote row a slack and minimizes their total; a "no" carries a checked
+lower bound on that total, and a "yes" law goes through the certificate
+check (repair, validate, map through H, reprice) into the `Verdict`,
+whose law is the default-count `DPM` q under the weak map and the
+generator law p under h. The quote bounds of a tranche are the min and max
+of a ratio of affine forms in the law on the same master
+(`opt_backend.solve_path_lfp`). No verdict, range or bound builds the
+monotonicity rows; the full polytope stays as the reference that tests
+compare the path form with. `WeakFeasibilityProblem` selects the kink
+states here; `strong_compat.StrongFeasibilityProblem` selects H = h.
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ import scipy.sparse as sp
 from . import opt_backend
 from .dpm_core import DPM, InvalidDPM, repair_structure
 from .market_model import TrancheSpec
-from .opt_backend import (DegenerateDenominator, LinearProgram, SolveResult,
-                          SolveStatus, SolverError)
+from .opt_backend import DegenerateDenominator, SolveStatus, SolverError
 from .tranche_valuation import (TrancheCoefficients, beta_coeffs,
                                 expected_npv, gamma_coeff, lambda_coeffs)
 
@@ -153,13 +154,14 @@ class _Polytope:
     generator law) or q is. ``quotes`` holds the `_quote_constraints`,
     bands if ``bands``, and ``means`` the m marginal means.
 
-    It has two forms. `A_eq` x = `b_eq`, `A_ub` x <= `b_ub`, x >= 0 is the
-    full one, built on first use: `structure_rows`, then the quote rows,
-    the last ``n_quotes`` rows of A_ub (bands) or of A_eq (mid quotes).
-    `path_rows` is the path form: every law of the polytope is a mixture of
-    non-decreasing state paths (Strassen, Ann. Math. Stat. 36, 1965), on
-    which the monotonicity rows hold by construction, so only the rows
-    that are sums over dates are left.
+    It has two forms. `path_rows` is the one every verdict, range and bound
+    solves: every law of the polytope is a mixture of non-decreasing state
+    paths (Strassen, Ann. Math. Stat. 36, 1965), on which the monotonicity
+    rows hold by construction, so only the rows that are sums over dates
+    are left. `A_eq` x = `b_eq`, `A_ub` x <= `b_ub`, x >= 0 is the full one,
+    the reference that tests compare it with, built on first use:
+    `structure_rows`, then the quote rows, the last ``n_quotes`` rows of
+    A_ub (bands) or of A_eq (mid quotes).
     """
 
     m: int
@@ -203,8 +205,9 @@ class _Polytope:
     def path_rows(self):
         """The rows of the path form, (R, m, S), and their right-hand sides.
 
-        The mass (date 1's row sum), the m means and the mid-quote rows: a
-        path's value on each is a sum over dates of a function of its state.
+        The mass (date 1's row sum), the m means and the quote rows, in
+        ``quotes`` order, whose sides say which are bands: a path's value on
+        each is a sum over dates of a function of its state.
         """
         m, S = self.m, len(self.states)
         rows = np.zeros((1 + m + self.n_quotes, m, S))
@@ -250,49 +253,21 @@ class Verdict:
     ``slack`` holds, per quote constraint in `_quote_constraints` order, the
     seller value v that the elastic LP leaves it with: 0 where the quote is
     met, positive where the quote is too low and negative where it is too
-    high. It is None when no verdict was reached (numerical failure).
+    high. On a "no", ``bound`` is a checked lower bound on the least total
+    slack, above FEASIBILITY_TOL (`opt_backend._elastic_bound`); it is None
+    otherwise, and ``slack`` is None when no verdict was reached (numerical
+    failure).
     """
 
     status: SolveStatus
     law: DPM | None
     certificate: str
     slack: list | None
+    bound: float | None = None
 
     @property
     def feasible(self):
         return self.status is SolveStatus.FEASIBLE
-
-
-def _elastic(problem):
-    """The polytope with a non-negative slack on each quote row.
-
-    Marginal and monotonicity rows stay exact; a mid-quote row gets one
-    slack per sign (v = s_up - s_down), a band row one on its own side
-    (side * v <= s). The objective is the total slack in value units, so
-    the LP is always feasible and bounded below (Chinneck's elastic
-    filter). Returns the decision, INFEASIBLE when a row needs more than
-    FEASIBILITY_TOL of slack, and the rows' slacks (None if the solve failed).
-    """
-    k, n = problem.n_quotes, problem.A_eq.shape[1]
-    signs = (1.0,) if problem.bands else (1.0, -1.0)
-    quoted, other = ((problem.A_ub, problem.A_eq) if problem.bands
-                     else (problem.A_eq, problem.A_ub))
-    own = sp.vstack([sp.csr_matrix((quoted.shape[0] - k, k)), sp.identity(k)])
-    cols = sp.hstack([-sign * own for sign in signs])
-    none = sp.csr_matrix((other.shape[0], cols.shape[1]))
-    ub, eq = (cols, none) if problem.bands else (none, cols)
-    res = opt_backend.solve_lp(LinearProgram(
-        c=np.concatenate([np.zeros(n), np.ones(cols.shape[1])]),
-        A_ub=sp.hstack([problem.A_ub, ub], format="csr"), b_ub=problem.b_ub,
-        A_eq=sp.hstack([problem.A_eq, eq], format="csr"), b_eq=problem.b_eq,
-        bounds=(0, None)))
-    if res.status is not SolveStatus.OPTIMAL:
-        return SolveResult(SolveStatus.NUMERICAL_FAILURE, message=res.message), None
-    slack = np.asarray(signs) @ res.x[n:].reshape(len(signs), k)
-    if np.max(np.abs(slack), initial=0.0) > opt_backend.FEASIBILITY_TOL:
-        return SolveResult(SolveStatus.INFEASIBLE, message=(
-            f"no law prices every quote: total slack {np.abs(slack).sum():.3e}")), slack
-    return SolveResult(SolveStatus.FEASIBLE, res.x[:n], message=res.message), slack
 
 
 def _largest_slack(snapshot, slack, bid_ask):
@@ -316,24 +291,28 @@ def _largest_slack(snapshot, slack, bid_ask):
 
 
 def _verify(snapshot, problem, bid_ask):
-    """Decide with the elastic LP and check its point as a certificate.
+    """Decide with the elastic LP in path form and check its law as a certificate.
 
-    Returns the `Verdict`. The point is
-    repaired, validated as a law, mapped onto q = p H' and repriced against
-    every quote; one that fails validation or misses a quote by more
-    than FEASIBILITY_TOL is a solver failure, never a verdict.
+    `opt_backend.solve_path_elastic` gives each quote row a slack and
+    minimizes their total over mixtures of non-decreasing state paths; a row
+    that needs more than FEASIBILITY_TOL of slack is the "no", which carries
+    a checked lower bound on that total. Returns the `Verdict`. The law is
+    repaired, validated, mapped onto q = p H' and repriced against every
+    quote; one that fails validation or misses a quote by more than
+    FEASIBILITY_TOL is a solver failure, never a verdict.
     """
-    res, slack = _elastic(problem)
-    constraints = _quote_constraints(snapshot, range(snapshot.n_tranches), bid_ask)
-    if slack is not None:  # + 0.0 turns a bid row's -0.0 into 0.0
-        slack = [float(s) * (side or 1) + 0.0
-                 for s, (_, side) in zip(slack, constraints)]
-    if res.status is SolveStatus.INFEASIBLE:
-        return Verdict(SolveStatus.INFEASIBLE, None,
-                       f"{res.message}; {_largest_slack(snapshot, slack, bid_ask)}",
-                       slack)
-    if res.status is not SolveStatus.FEASIBLE:
+    rows, rhs = problem.path_rows()
+    res = opt_backend.solve_path_elastic(rows, rhs, [side for _, side in problem.quotes])
+    if res.status not in (SolveStatus.FEASIBLE, SolveStatus.INFEASIBLE):
         return Verdict(SolveStatus.NUMERICAL_FAILURE, None, res.message, None)
+    slack = [float(s) + 0.0 for s in res.extra["slack"]]  # + 0.0: no -0.0 on a bid row
+    if res.status is SolveStatus.INFEASIBLE:
+        bound = res.extra["bound"]
+        return Verdict(SolveStatus.INFEASIBLE, None, (
+            f"no law prices every quote: total slack {res.objective:.3e} (checked "
+            f"lower bound {bound:.3e}); {_largest_slack(snapshot, slack, bid_ask)}"),
+            slack, bound)
+    constraints = _quote_constraints(snapshot, range(snapshot.n_tranches), bid_ask)
     try:
         law = DPM(repair_structure(res.x.reshape(problem.m, -1)))
         dpm = DPM(law.q @ problem.H.T)

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from cdo_compat import load_snapshot, verify_strong_at_N, verify_weak
+from cdo_compat.opt_backend import LinearProgram
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 SNAPSHOT_PATH = os.path.join(DATA_DIR, "snapshot.json")
@@ -20,6 +21,30 @@ def tail_rows(m, n):
     """
     return sp.kron(sp.eye(m - 1, m) - sp.eye(m - 1, m, k=1),
                    np.triu(np.ones((n, n + 1)), k=1), format="csr")
+
+
+def full_elastic_lp(problem):
+    """The elastic decision LP over the polytope's full form: the reference.
+
+    Marginal and monotonicity rows stay exact; a mid-quote row gets one
+    slack per sign (v = s_up - s_down), a band row one on its own side
+    (side * v <= s). The objective is the total slack in value units
+    (Chinneck's elastic filter). The law's columns come first, then the
+    slacks: for mid quotes the k up slacks, then the k down slacks.
+    """
+    k, n = problem.n_quotes, problem.A_eq.shape[1]
+    signs = (1.0,) if problem.bands else (1.0, -1.0)
+    quoted, other = ((problem.A_ub, problem.A_eq) if problem.bands
+                     else (problem.A_eq, problem.A_ub))
+    own = sp.vstack([sp.csr_matrix((quoted.shape[0] - k, k)), sp.identity(k)])
+    cols = sp.hstack([-sign * own for sign in signs])
+    none = sp.csr_matrix((other.shape[0], cols.shape[1]))
+    ub, eq = (cols, none) if problem.bands else (none, cols)
+    return LinearProgram(
+        c=np.concatenate([np.zeros(n), np.ones(cols.shape[1])]),
+        A_ub=sp.hstack([problem.A_ub, ub], format="csr"), b_ub=problem.b_ub,
+        A_eq=sp.hstack([problem.A_eq, eq], format="csr"), b_eq=problem.b_eq,
+        bounds=(0, None))
 
 
 @pytest.fixture(scope="session")

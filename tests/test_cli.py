@@ -2,6 +2,7 @@
 
 import copy
 import json
+import types
 
 import numpy as np
 import pytest
@@ -106,17 +107,23 @@ def test_verify_weak_passes_and_writes_the_certificate(runner, snapshot,
 def test_verdicts_report_the_slack_of_each_quote(runner, snapshot, tmp_path):
     res = runner.invoke(main, ["verify-weak", "-i", str(SNAPSHOT_PATH), "--json"])
     assert res.exit_code == 0
-    slack = json.loads(res.output)["slack"]
+    payload = json.loads(res.output)
+    slack = payload["slack"]
     assert len(slack) == 4
     assert max(abs(s) for s in slack) <= opt_backend.FEASIBILITY_TOL
+    assert payload["bound"] is None
     # the torn snapshot's second equity quote (50%) sits far above the first
     torn = _torn_path(snapshot, tmp_path)
     argv = ["verify-strong", "-i", torn, "--resolution", "50"]
     res = runner.invoke(main, argv + ["--json"])
     assert res.exit_code == 1
-    slack = json.loads(res.output)["slack"]
+    payload = json.loads(res.output)
+    slack = payload["slack"]
     assert len(slack) == 5
     assert max(abs(s) for s in slack) > opt_backend.FEASIBILITY_TOL
+    # a checked lower bound on the least total slack proves the "no"
+    assert list(payload)[-2:] == ["slack", "bound"]
+    assert opt_backend.FEASIBILITY_TOL < payload["bound"] <= sum(map(abs, slack)) * (1 + 1e-12)
     res = runner.invoke(main, argv)
     assert res.exit_code == 1
     assert "largest slack: tranche [0,0.03] quote too high by" in res.output
@@ -222,8 +229,13 @@ def test_verify_strong_reports_the_rule_that_ended_the_walk(
 
 def test_solver_failure_is_not_an_incompatible_verdict(runner, snapshot,
                                                        tmp_path, monkeypatch):
-    monkeypatch.setattr(opt_backend, "solve_lp", lambda lp: opt_backend.SolveResult(
-        opt_backend.SolveStatus.NUMERICAL_FAILURE, message="forced failure"))
+    # every HiGHS run ends in a solve error, so no command reaches a decision
+    class Failing(opt_backend.highs._Highs):
+        def getModelStatus(self):
+            return opt_backend.highs.HighsModelStatus.kSolveError
+
+    monkeypatch.setattr(opt_backend, "highs", types.SimpleNamespace(
+        **{**vars(opt_backend.highs), "_Highs": Failing}))
     banded = _banded_path(snapshot, tmp_path)
     for argv in (["verify-weak", "-i", str(SNAPSHOT_PATH)],
                  ["verify-bid-ask", "-i", banded],

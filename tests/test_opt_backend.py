@@ -13,23 +13,23 @@ from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cdo_compat import opt_backend, verify_strong_at_N
+from cdo_compat import opt_backend
 from cdo_compat.cli import main
 from cdo_compat.dpm_core import validate_dpm
 from cdo_compat.market_model import snapshot_from_dict, snapshot_to_dict
-from cdo_compat.opt_backend import (_HESS_RIDGE, T_CEILING, DegenerateDenominator,
-                                    LinearProgram, SolveStatus,
-                                    _cheapest_paths, _newton_direction,
-                                    solve_lfp, solve_lp, solve_path_lfp,
-                                    solve_relative_entropy)
+from cdo_compat.opt_backend import (_HESS_RIDGE, FEASIBILITY_TOL, T_CEILING,
+                                    DegenerateDenominator, LinearProgram,
+                                    SolveStatus, _cheapest_paths,
+                                    _elastic_bound, _newton_direction,
+                                    solve_lfp, solve_lp, solve_path_elastic,
+                                    solve_path_lfp, solve_relative_entropy)
 from cdo_compat.strong_compat import StrongFeasibilityProblem
 from cdo_compat.tranche_valuation import (TrancheCoefficients, beta_coeffs,
                                           lambda_coeffs)
 from cdo_compat.weak_compat import (WeakFeasibilityProblem, _target,
-                                    structure_rows, verify_weak,
-                                    verify_weak_bid_ask)
+                                    structure_rows)
 
-from conftest import SNAPSHOT_PATH, tail_rows
+from conftest import SNAPSHOT_PATH, full_elastic_lp, tail_rows
 
 
 def test_lp_min_and_max_on_a_triangle():
@@ -94,13 +94,26 @@ def _charnes_cooper_bound(snapshot):
                      b_eq=problem.b_eq, sense="min")
 
 
-# (what `call(snapshot)` solves, which of its LPs to compare); bounds are
-# solved in path form, not through linprog
+def _full_elastic(problem):
+    """Solve the elastic LP of ``problem(snapshot)`` in its full form."""
+    return lambda snap: solve_lp(full_elastic_lp(problem(snap)))
+
+
+def _banded_weak(snapshot):
+    return WeakFeasibilityProblem.from_snapshot(_edited(snapshot, _banded), bid_ask=True)
+
+
+def _strong_50(snapshot):
+    return StrongFeasibilityProblem.from_snapshot(snapshot, 50)
+
+
+# (what `call(snapshot)` solves, which of its LPs to compare); verdicts,
+# ranges and bounds are solved in path form, not through linprog, so the
+# elastic LPs are the full-form reference that the tests compare them with
 PACKAGE_LPS = {
-    "weak-elastic-mid": (verify_weak, [0]),
-    "weak-elastic-bid-ask": (lambda snap: verify_weak_bid_ask(_edited(snap, _banded)),
-                             [0]),
-    "strong-n50-elastic": (lambda snap: verify_strong_at_N(snap, 50), [0]),
+    "weak-elastic-mid": (_full_elastic(WeakFeasibilityProblem.from_snapshot), [0]),
+    "weak-elastic-bid-ask": (_full_elastic(_banded_weak), [0]),
+    "strong-n50-elastic": (_full_elastic(_strong_50), [0]),
     "charnes-cooper-lfp": (_charnes_cooper_bound, [0]),
 }
 
@@ -379,6 +392,96 @@ def test_path_lfp_reports_rows_that_no_mixture_meets():
     lo, hi = solve_path_lfp(rows, rhs, 2, rng.standard_normal((3, 4)), 0.0,
                             np.zeros((3, 4)), 1.0)
     assert lo is hi and lo.status is SolveStatus.INFEASIBLE and lo.x is None
+
+
+def _elastic_over_every_path(rows, rhs, sides):
+    """The least total slack of `solve_path_elastic`'s LP, over every path at once.
+
+    A band row is written side (f_r(w) - rhs_r) - a_r <= 0, with one
+    artificial; an elastic equality gets one per sign.
+    """
+    R, m, S = rows.shape
+    every = _monotone_paths(m, S)
+    side = np.append(np.zeros(R - len(sides)), sides)
+    sign = np.where(side == 0.0, 1.0, side)
+    elastic = np.arange(R - len(sides), R)
+    mid, band = elastic[side[elastic] == 0.0], elastic[side[elastic] != 0.0]
+    eye = np.eye(R)
+    A = np.hstack([np.array([_on_paths(row, every) for row in rows]) * sign[:, None],
+                   eye[:, mid], -eye[:, mid], -eye[:, band]])
+    b, eq = rhs * sign, side == 0.0
+    return solve_lp(LinearProgram(
+        c=np.append(np.zeros(len(every)), np.ones(A.shape[1] - len(every))),
+        A_eq=A[eq], b_eq=b[eq], A_ub=A[~eq] if len(band) else None,
+        b_ub=b[~eq] if len(band) else None))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(2, 5),
+       st.lists(st.sampled_from([0, 1, -1]), max_size=3),
+       st.sampled_from([0.0, 1e-3, 0.3]), st.integers(0, 2 ** 31 - 1))
+def test_path_elastic_is_the_elastic_lp_over_every_path(m, S, sides, shift, seed):
+    # phase 1 alone against the elastic LP over every monotone path, on rows
+    # that a mixture meets before the elastic rows' right-hand sides move
+    rng = np.random.default_rng(seed)
+    rows, rhs = _path_rows(rng, m, S, len(sides))
+    rhs[1 + m:] += shift * rng.standard_normal(len(sides))
+    res = solve_path_elastic(rows, rhs, sides)
+    ref = _elastic_over_every_path(rows, rhs, np.array(sides, float))
+    assert ref.status is SolveStatus.OPTIMAL
+    assert res.objective == pytest.approx(ref.objective, rel=0, abs=1e-9)
+    slack = res.extra["slack"]
+    assert len(slack) == len(sides) and res.objective == pytest.approx(
+        np.abs(slack).sum(), rel=0, abs=1e-15)
+    # a band row's slack lies outside its band: positive above, negative below
+    assert all(s * side >= 0.0 for s, side in zip(slack, sides))
+    value = rows.reshape(len(rows), -1) @ res.x - rhs
+    np.testing.assert_allclose(value[1 + m:][np.equal(sides, 0)],
+                               slack[np.equal(sides, 0)], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(value[:1 + m], 0.0, rtol=0, atol=FEASIBILITY_TOL)
+    assert validate_dpm(res.x.reshape(m, S)).valid
+    if np.max(np.abs(slack), initial=0.0) > FEASIBILITY_TOL:
+        assert res.status is SolveStatus.INFEASIBLE
+        assert FEASIBILITY_TOL < res.extra["bound"] <= ref.objective + 1e-12
+        assert res.extra["bound"] == pytest.approx(ref.objective, rel=0, abs=1e-9)
+    else:
+        assert res.status is SolveStatus.FEASIBLE and "bound" not in res.extra
+
+
+def test_path_elastic_without_elastic_rows_says_yes_with_no_slack():
+    rows, rhs = _path_rows(np.random.default_rng(5), 3, 4, 0)
+    res = solve_path_elastic(rows, rhs, [])
+    assert res.status is SolveStatus.FEASIBLE and res.objective == 0.0
+    assert res.extra["slack"].tolist() == []
+
+
+def test_a_corrupted_multiplier_lowers_the_checked_bound(snapshot):
+    # the elastic LP's own multipliers give the best bound the check allows;
+    # moving any one of them gives a smaller one, so a bound computed from
+    # wrong multipliers errs on the safe side. Two moves change nothing:
+    # raising the mass row's shifts y'rhs and every path's reduced cost
+    # alike, and a quote row's clipped back to where it was
+    raw = snapshot_to_dict(snapshot)
+    raw["tranches"][3]["quote_value"] = 80.0
+    problem = StrongFeasibilityProblem.from_snapshot(snapshot_from_dict(raw), 50)
+    rows, rhs = problem.path_rows()
+    sides = [side for _, side in problem.quotes]
+    res = solve_path_elastic(rows, rhs, sides)
+    y = res.extra["row_dual"]
+    bound = res.extra["bound"]
+    assert res.status is SolveStatus.INFEASIBLE
+    assert _elastic_bound(rows, rhs, sides, y) == bound
+    assert FEASIBILITY_TOL < bound <= res.objective
+    quotes = len(y) - len(sides)
+    for r in range(len(y)):
+        for step in (-0.5, 0.5):
+            moved = y.copy()
+            moved[r] += step * max(1.0, abs(y[r]))
+            got = _elastic_bound(rows, rhs, sides, moved)
+            if (r == 0 and step > 0) or (r >= quotes and np.clip(moved[r], -1, 1) == y[r]):
+                assert got == pytest.approx(bound, rel=0, abs=1e-15), (r, step)
+            else:
+                assert got < bound - 1e-9, (r, step)
 
 
 def test_a_path_solve_carries_its_record(snapshot):

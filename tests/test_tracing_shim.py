@@ -1,11 +1,13 @@
 """The benchmark's traced-run shim still installs against the package.
 
 `perfbench/tracing.py` wraps the polytope builders and the sampler's two
-stages by class and method name, counts HiGHS iterations from the ``nit``
-of `opt_backend.linprog`, and reads the entropy solve's record; a rename
-in the package, a move of the HiGHS call, or a simulator that stopped
-calling those methods, would silently zero its assembly counts, iteration
-and LP counts, sampler spans and entropy counters. The shim is imported by path and run in a fresh interpreter, so
+stages by class and method name, counts LP calls through `solve_lp` and
+HiGHS iterations from the ``nit`` of `opt_backend.linprog`, and reads the
+entropy solve's record; a rename in the package, a move of the HiGHS call,
+or a simulator that stopped calling those methods, would silently zero its
+assembly counts, iteration and LP counts, sampler spans and entropy
+counters. Verdicts, ranges and bounds solve on the path master, which
+neither counter sees, so the script solves one LP through `solve_lp`. The shim is imported by path and run in a fresh interpreter, so
 its rebinding of package names cannot leak into the rest of the suite.
 """
 
@@ -26,9 +28,13 @@ tracing = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracing)
 tracer = tracing.Tracer()
 tracer.install()
-from cdo_compat import (load_snapshot, range_at_N, simulate_npv,
+from cdo_compat import (load_snapshot, range_at_N, simulate_npv, solve_lp,
                         spread_delta, verify_strong_at_N, verify_weak)
+from cdo_compat.opt_backend import LinearProgram
+import numpy as np
 snap = load_snapshot(sys.argv[2])
+solve_lp(LinearProgram(c=-np.arange(1.0, 4.0), b_ub=np.array([4.0, 5.0]),
+                       A_ub=np.array([[1.0, 2.0, 1.0], [3.0, 1.0, 2.0]])))
 spread_delta(snap, verify_weak(snap).law)
 range_at_N(snap, [0, 1, 2], 3, N=50)
 simulate_npv(verify_strong_at_N(snap, 50).law, snap, 1000, seed=1)

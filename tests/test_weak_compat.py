@@ -2,21 +2,20 @@
 
 import copy
 import types
-from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
 from cdo_compat import opt_backend, weak_compat
 from cdo_compat.dpm_core import tail_sums, validate_dpm
 from cdo_compat.market_model import snapshot_from_dict, snapshot_to_dict
-from cdo_compat.opt_backend import (LinearProgram, SolverError, SolveStatus,
-                                    solve_lp)
-from cdo_compat.strong_compat import (StrongFeasibilityProblem,
+from cdo_compat.opt_backend import (FEASIBILITY_TOL, LinearProgram, SolverError,
+                                    SolveStatus, solve_lp)
+from cdo_compat.strong_compat import (StrongFeasibilityProblem, iterative_verify,
                                       nonstandard_names_bounds, range_at_N,
                                       verify_strong_at_N, verify_strong_bid_ask)
 from cdo_compat.tranche_valuation import (TrancheCoefficients, beta_coeffs,
@@ -29,7 +28,7 @@ from cdo_compat.weak_compat import (InfeasibleRegion, InvalidQuotes,
                                     structure_rows, verify_weak,
                                     verify_weak_bid_ask, weak_range)
 
-from conftest import tail_rows
+from conftest import full_elastic_lp, tail_rows
 
 INDEX_LIMIT_SPREAD_BPS = 57.49461928448669
 
@@ -163,11 +162,13 @@ def test_disjoint_duplicate_bands_are_infeasible(snapshot, verify):
 ])
 def test_a_point_that_misses_the_quotes_is_a_solver_failure(snapshot, monkeypatch,
                                                             verify, bid_ask):
-    # the law's columns at one with every slack at zero: all-ones repairs to
-    # uniform rows, a valid law that prices no quote, so the certificate
-    # check must refuse it instead of reporting a verdict
-    monkeypatch.setattr(opt_backend, "solve_lp", lambda lp: opt_backend.SolveResult(
-        SolveStatus.OPTIMAL, x=(lp.c == 0.0).astype(float)))
+    # phase 1 says yes with every slack at zero on a law of ones: it
+    # repairs to uniform rows, a valid law that prices no quote, so the
+    # certificate check must refuse it instead of reporting a verdict
+    def lying(rows, rhs, sides):
+        return opt_backend.SolveResult(SolveStatus.FEASIBLE, np.ones(rows[0].size),
+                                       0.0, extra={"slack": np.zeros(len(sides))})
+    monkeypatch.setattr(opt_backend, "solve_path_elastic", lying)
     snap = _banded(snapshot, {0: (28.2, 28.7), 1: (4.3, 4.8), 2: (105.0, 108.0),
                               3: (27.0, 28.0)}) if bid_ask else snapshot
     res = verify(snap)
@@ -176,6 +177,43 @@ def test_a_point_that_misses_the_quotes_is_a_solver_failure(snapshot, monkeypatc
     assert res.certificate.startswith(
         "solution violates a quote band by" if bid_ask
         else "solution misprices a tranche by")
+
+
+# (tranche, quote in display units): the moves near the arbitrage-free
+# boundary and far from it on which the full elastic LP once failed, then
+# the senior far above its range
+KNOWN_FAILING_MOVES = [(0, 28.1), (0, 30.0), (2, 125.0), (0, 16.706295424899928),
+                       (0, 40.0)]
+FAR_MOVES = [(3, 80.0), (3, 300.0)]
+
+
+@pytest.mark.parametrize("move", [
+    pytest.param(move, id=f"{move[0]}-{move[1]:.4g}")
+    for move in KNOWN_FAILING_MOVES + FAR_MOVES] + ["torn"])
+@pytest.mark.parametrize("verify", [
+    pytest.param(verify_weak, id="weak"),
+    pytest.param(lambda snap: verify_strong_at_N(snap, 50), id="strong-50"),
+    pytest.param(lambda snap: verify_strong_at_N(snap, 100), id="strong-100"),
+])
+def test_every_no_carries_a_checked_bound(snapshot, verify, move):
+    # a lower bound on the least total slack that trusts no solver: above
+    # FEASIBILITY_TOL, so it proves the "no", and not above the total slack
+    # of the law phase 1 found, but for rounding in the last digit
+    snap = (_torn_snapshot(snapshot) if move == "torn"
+            else _with_quotes(snapshot, {move[0]: move[1]}))
+    res = verify(snap)
+    assert res.status is SolveStatus.INFEASIBLE
+    total = float(np.abs(res.slack).sum())
+    assert FEASIBILITY_TOL < res.bound <= total * (1 + 1e-12)
+    assert f"(checked lower bound {res.bound:.3e})" in res.certificate
+
+
+def test_a_no_without_a_checked_bound_is_a_solver_failure(snapshot, monkeypatch):
+    monkeypatch.setattr(opt_backend, "_elastic_bound", lambda *args: FEASIBILITY_TOL)
+    res = verify_weak(_torn_snapshot(snapshot))
+    assert res.status is SolveStatus.NUMERICAL_FAILURE
+    assert (res.law, res.slack, res.bound) == (None, None, None)
+    assert res.certificate.endswith("but its checked lower bound is 1.000e-08")
 
 
 def _monotonicity_rows(m, n):
@@ -331,15 +369,24 @@ def test_a_master_that_ends_non_optimal_is_a_solver_failure(snapshot, monkeypatc
 
 
 def test_no_bound_builds_the_monotonicity_rows(snapshot, monkeypatch):
+    # no verdict, range or bound in the package builds the full polytope; only
+    # the hedge's entropy program writes the structure rows
     def refuse(*args):
-        raise AssertionError("a bound built the full polytope")
+        raise AssertionError("the full polytope was built")
     monkeypatch.setattr(weak_compat, "structure_rows", refuse)
     range_at_N(snapshot, [1, 2, 3], 0, 50)
     nonstandard_names_bounds(snapshot, 50, 100, 0.06, 0.12, "spread")
     nonstandard_tranche_bounds(snapshot, 0.04, 0.08, "upfront", fixed_running=0.01)
     weak_range(snapshot, [0, 1, 2], 3)
+    banded = _banded(snapshot, {0: (28.2, 28.7), 1: (4.3, 4.8), 2: (105.0, 108.0),
+                                3: (27.0, 28.0)})
+    for verdict in (verify_weak(snapshot), verify_weak(_torn_snapshot(snapshot)),
+                    verify_weak_bid_ask(banded), verify_strong_at_N(snapshot, 50),
+                    verify_strong_bid_ask(banded, 50)):
+        assert verdict.status is not SolveStatus.NUMERICAL_FAILURE
+    assert iterative_verify(snapshot, (50, 75)).compatible
     with pytest.raises(AssertionError, match="full polytope"):
-        verify_weak(snapshot)
+        WeakFeasibilityProblem.from_snapshot(snapshot).A_eq
 
 
 def _full_polytope_range(snapshot, problem, tranche):
@@ -417,47 +464,27 @@ def _kink_states(snapshot, bid_ask, target):
     return WeakFeasibilityProblem.from_snapshot(snapshot, bid_ask, target)
 
 
-def _residual(lp, x):
-    """The point's largest violation of the LP's rows and of x >= 0."""
-    worst = [float(np.max(-x))]
-    if lp.A_ub is not None:
-        worst.append(float(np.max(lp.A_ub @ x - lp.b_ub, initial=0.0)))
-    if lp.A_eq is not None:
-        worst.append(float(np.max(np.abs(lp.A_eq @ x - lp.b_eq), initial=0.0)))
-    return max(worst)
-
-
 def _weak_answers(snapshot, problem, targets):
     """Verdict and total elastic slack per quote kind, then each target's bounds.
 
     ``problem(snapshot, bid_ask, target)`` gives the polytope; a bound that
-    raises is answered by the exception's name. Also returns the largest
-    residual of the points HiGHS returned to `solve_lp`, inf if a solve
-    failed: the verdicts' elastic LPs. The bounds are solved in path form,
-    whose laws meet their rows within FEASIBILITY_TOL or raise.
+    raises is answered by the exception's name. Verdicts and bounds are
+    solved in path form, whose laws meet their rows within FEASIBILITY_TOL
+    or are not answers.
     """
-    residuals = [0.0]
-    solve = opt_backend.solve_lp
-
-    def solve_and_check(lp):
-        res = solve(lp)
-        residuals.append(np.inf if res.status is SolveStatus.NUMERICAL_FAILURE
-                         else 0.0 if res.x is None else _residual(lp, res.x))
-        return res
     out = []
-    with mock.patch.object(opt_backend, "solve_lp", solve_and_check):
-        for bid_ask in (False, True) if snapshot.bid is not None else (False,):
-            verdict = _verify(snapshot, problem(snapshot, bid_ask, None), bid_ask)
-            out.append((verdict.status, None if verdict.slack is None
-                        else float(np.abs(verdict.slack).sum())))
-        for target in targets:
-            p = problem(snapshot, False, target)
-            try:
-                out.append(_bounds(snapshot, p, target,
-                                   p.H.T @ beta_coeffs(target, snapshot.portfolio)))
-            except (InfeasibleRegion, UnboundedRatio, SolverError) as exc:
-                out.append(type(exc).__name__)
-    return out, max(residuals)
+    for bid_ask in (False, True) if snapshot.bid is not None else (False,):
+        verdict = _verify(snapshot, problem(snapshot, bid_ask, None), bid_ask)
+        out.append((verdict.status, None if verdict.slack is None
+                    else float(np.abs(verdict.slack).sum())))
+    for target in targets:
+        p = problem(snapshot, False, target)
+        try:
+            out.append(_bounds(snapshot, p, target,
+                               p.H.T @ beta_coeffs(target, snapshot.portfolio)))
+        except (InfeasibleRegion, UnboundedRatio, SolverError) as exc:
+            out.append(type(exc).__name__)
+    return out
 
 
 def _gap(a, b):
@@ -541,17 +568,34 @@ def _kinked_snapshots(draw):
 @given(_kinked_snapshots())
 def test_kink_states_give_the_answers_of_every_count(case):
     # the verdicts, the total elastic slacks and the upfront and spread
-    # bounds of a target tranche over K equal those over all n + 1 counts.
-    # HiGHS meets the elastic LPs' rows only to its 1e-7 feasibility
-    # tolerance, on either polytope, and an optimum read off a point that
-    # misses its rows by more than 1e-9 is that far off too, so such a draw
-    # cannot be compared at 1e-9 (about 1 draw in 15; the all-counts LP
-    # misses more often)
+    # bounds of a target tranche over K equal those over all n + 1 counts
     snapshot, targets = case
-    kinks, kink_residual = _weak_answers(snapshot, _kink_states, targets)
-    every, every_residual = _weak_answers(snapshot, _all_states, targets)
-    assume(max(kink_residual, every_residual) <= 1e-9)
+    kinks = _weak_answers(snapshot, _kink_states, targets)
+    every = _weak_answers(snapshot, _all_states, targets)
     assert _gap(kinks, every) <= 1e-9, (kinks, every)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_kinked_snapshots(), st.sampled_from([None, 2, 3, 5]), st.booleans())
+def test_path_form_verdicts_agree_with_the_full_elastic_lp(case, N, bands):
+    # the verdict in path form against the elastic LP over the full polytope,
+    # weak (N None) or strong at a small N, at mid quotes or at the bands: the
+    # same status, and the same least total slack. Over 300 such draws the
+    # totals were at most 4.9e-11 apart, where the full LP at HiGHS's
+    # default 1e-7 tolerances stops short of its optimum
+    snapshot, _ = case
+    bid_ask = bands and snapshot.bid is not None
+    problem = (WeakFeasibilityProblem.from_snapshot(snapshot, bid_ask) if N is None
+               else StrongFeasibilityProblem.from_snapshot(snapshot, N, bid_ask=bid_ask))
+    verdict = _verify(snapshot, problem, bid_ask)
+    ref = solve_lp(full_elastic_lp(problem))
+    n, k = problem.A_eq.shape[1], problem.n_quotes
+    slack = ref.x[n:] if bid_ask else ref.x[n:n + k] - ref.x[n + k:]
+    assert verdict.status is (SolveStatus.INFEASIBLE
+                              if np.max(np.abs(slack), initial=0.0) > FEASIBILITY_TOL
+                              else SolveStatus.FEASIBLE)
+    assert float(np.abs(verdict.slack).sum()) == pytest.approx(ref.objective, rel=0,
+                                                              abs=2e-10)
 
 
 @pytest.mark.parametrize("attach, detach, dropped", [
@@ -567,9 +611,9 @@ def test_dropping_a_kink_state_changes_the_answers(snapshot, attach, detach, dro
 
     def without(snap, bid_ask, target):
         return _over(snap, states[states != dropped], bid_ask)
-    every = _weak_answers(snapshot, _all_states, targets)[0]
-    assert _gap(_weak_answers(snapshot, _kink_states, targets)[0], every) <= 1e-9
-    assert _gap(_weak_answers(snapshot, without, targets)[0], every) > 1e-6
+    every = _weak_answers(snapshot, _all_states, targets)
+    assert _gap(_weak_answers(snapshot, _kink_states, targets), every) <= 1e-9
+    assert _gap(_weak_answers(snapshot, without, targets), every) > 1e-6
 
 
 def test_the_fixture_poses_the_weak_lp_on_seven_states_per_date(snapshot):
