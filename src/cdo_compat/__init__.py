@@ -14,11 +14,10 @@ from .opt_backend import (DegenerateDenominator, SolveStatus, SolverError,
 from .risk_engine import (HedgeReport, InfeasibleConstraints,
                           SimulationSummary, posterior_dpm, read_samples,
                           simulate_npv, spread_delta)
-from .strong_compat import (GammaDistortion, GeneratorSampler, HCoefficients,
-                            IterationLimit, IterativeResult, h_matrix,
-                            iterative_verify, nonstandard_names_bounds,
-                            qij_from_p, range_at_N, verify_strong_at_N,
-                            verify_strong_bid_ask)
+from .strong_compat import (GammaDistortion, GeneratorSampler, IterationLimit,
+                            IterativeResult, h_matrix, iterative_verify,
+                            nonstandard_names_bounds, qij_from_p, range_at_N,
+                            verify_strong_at_N, verify_strong_bid_ask)
 from .tranche_valuation import (DimensionMismatch, NonMonotonePath,
                                 TrancheCoefficients, beta_coeffs,
                                 coefficients_for, expected_npv, gamma_coeff,
@@ -31,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AugmentedDPM", "DPM", "DegenerateDenominator", "DimensionMismatch",
-    "DiscountCurve", "GammaDistortion", "GeneratorSampler", "HCoefficients",
+    "DiscountCurve", "GammaDistortion", "GeneratorSampler",
     "HedgeReport", "InfeasibleConstraints", "InfeasibleRegion", "InvalidDPM",
     "InvalidQuotes", "InvalidRecovery", "IterationLimit", "IterativeResult",
     "MarginalDefaultCurve", "MarketSnapshot", "NoRoot", "NonMonotonePath",

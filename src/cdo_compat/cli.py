@@ -19,7 +19,8 @@ import click
 
 from . import __version__
 from .dpm_core import InvalidDPM, dpm_from_csv, dpm_to_csv
-from .market_model import NoRoot, implied_index_spread, load_snapshot, pv01
+from .market_model import (QUOTE_UNITS, NoRoot, implied_index_spread,
+                           load_snapshot, pv01)
 from .opt_backend import SolverError, SolveStatus
 from .risk_engine import (InfeasibleConstraints, check_bump, check_simulation,
                           simulate_npv, spread_delta)
@@ -42,7 +43,7 @@ _n_seq_opt = click.option("--n-seq", default=",".join(map(str, DEFAULT_N_SEQUENC
                           show_default=True,
                           help="Comma-separated resolution sequence.")
 _kind_opt = click.option("--kind", default="spread",
-                         type=click.Choice(["upfront", "spread"]))
+                         type=click.Choice(list(QUOTE_UNITS)))
 _running_opt = click.option("--running-bps", default=0.0, type=float,
                             help="Fixed running spread for upfront quotes, bps.")
 
@@ -142,14 +143,19 @@ def _verdict(res, label, task=None, **fields):
     return payload, [f"{label}: {word}", res.certificate], code
 
 
-def _to_display(kind, value):
-    return value * 100.0 if kind == "upfront" else value * 1e4
-
-
 def _bounds_payload(kind, lower, upper, label):
-    units = "pct" if kind == "upfront" else "bps"
-    return {"tranche": label, "kind": kind, "units": units,
-            "lower": _to_display(kind, lower), "upper": _to_display(kind, upper)}
+    """A quote range of one kind, in that kind's display units."""
+    units = QUOTE_UNITS[kind]
+    return {"tranche": label, "kind": kind, "units": units.label,
+            "lower": lower * units.display, "upper": upper * units.display}
+
+
+def _quoted_range(snap, l, lower, upper):
+    """`_bounds_payload` of quoted tranche l plus its ``quote``, in display units."""
+    tranche = snap.tranches[l]
+    entry = _bounds_payload(tranche.quote_kind, lower, upper, tranche.label)
+    entry["quote"] = snap.quote(l) * tranche.units.display
+    return entry
 
 
 @_command("calibrate")
@@ -239,14 +245,8 @@ def cmd_verify_strong(snap, out_path, n_seq, resolution):
 
 def _outside(snap, l, bounds):
     """Says that tranche l's quote lies outside ``bounds``, in display units."""
-    tranche = snap.tranches[l]
-    kind = tranche.quote_kind
-    quotes = snap.quotes.upfront if kind == "upfront" else snap.quotes.spread
-    entry = _bounds_payload(kind, *bounds, tranche.label)
-    units = entry["units"]
-    return (f"tranche {tranche.label} quote {_to_display(kind, quotes[l]):.4f} "
-            f"{units} lies outside [{entry['lower']:.4f}, {entry['upper']:.4f}] "
-            f"{units}")
+    return ("tranche {tranche} quote {quote:.4f} {units} lies outside [{lower:.4f}, "
+            "{upper:.4f}] {units}".format(**_quoted_range(snap, l, *bounds)))
 
 
 @_command("verify-bid-ask")
@@ -279,10 +279,7 @@ def ranges(snap, out_path, fmt, n_seq):
                 raise InfeasibleRegion(
                     f"no strong solution at N={N} prices the quotes other "
                     f"than tranche {tranche.label}") from exc
-            kind = tranche.quote_kind
-            quotes = snap.quotes.upfront if kind == "upfront" else snap.quotes.spread
-            entry = _bounds_payload(kind, lo, hi, tranche.label)
-            entry["quote"] = _to_display(kind, quotes[l])
+            entry = _quoted_range(snap, l, lo, hi)
             entry["inside"] = (entry["lower"] - 1e-9 <= entry["quote"]
                                <= entry["upper"] + 1e-9)
             entries.append(entry)

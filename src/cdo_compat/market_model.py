@@ -1,9 +1,16 @@
 """Market inputs and the index-implied marginal default distribution.
 
 Holds the payment schedule, discounting, portfolio and tranche terms, and
-the quote vector for one trading date, and calibrates the single hazard
+the quote vectors for one trading date, and calibrates the single hazard
 rate that reprices the CDS index. All rates and spreads are decimals per
 year internally; bps and percent appear only at the I/O boundary.
+
+The quote convention lives here alone. A tranche is quoted up-front (a
+fraction of its notional, on top of a fixed running spread) or as a running
+spread, and may carry a bid/ask band. `TrancheSpec.terms` gives the
+(up-front, running spread) pair of a quote of its kind, `MarketSnapshot.quote`
+reads a quote from the mid, bid or ask vector, and `QUOTE_UNITS` gives each
+kind's display units: percent of notional for up-front quotes, bp for spreads.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,6 +110,19 @@ class PortfolioSpec:
             raise InvalidRecovery(f"recovery {self.recovery} leaves no loss")
 
 
+class QuoteUnits(NamedTuple):
+    scale: float    # decimals per display unit
+    display: float  # display units per decimal
+    label: str      # the display unit
+    noun: str       # the quote kind, in messages
+
+
+QUOTE_UNITS = {"upfront": QuoteUnits(1e-2, 1e2, "pct", "up-front"),
+               "spread": QuoteUnits(1e-4, 1e4, "bps", "spread")}
+
+SIDES = ("mid", "bid", "ask")
+
+
 @dataclass(frozen=True)
 class TrancheSpec:
     """Loss slice [attach, detach] with its quoting convention.
@@ -130,6 +151,14 @@ class TrancheSpec:
     @property
     def width(self):
         return self.detach - self.attach
+
+    @property
+    def units(self):
+        return QUOTE_UNITS[self.quote_kind]
+
+    def terms(self, x):
+        """(up-front, running spread) of a quote x, in decimals, of this kind."""
+        return (x, self.running_spread) if self.quote_kind == "upfront" else (0.0, x)
 
 
 @dataclass(frozen=True)
@@ -178,6 +207,12 @@ class MarketSnapshot:
     @property
     def n_tranches(self):
         return len(self.tranches)
+
+    def quote(self, l, side="mid"):
+        """Tranche l's quote in its own kind, in decimals, on one of SIDES."""
+        vector = {"mid": self.quotes, "bid": self.bid, "ask": self.ask}[side]
+        upfront = self.tranches[l].quote_kind == "upfront"
+        return (vector.upfront if upfront else vector.spread)[l]
 
     @cached_property
     def curve(self):
@@ -311,8 +346,11 @@ def cds_value_change(curve_after, sched, disc, ds):
 
 
 # JSON snapshot format. Units follow market convention: index and running
-# spreads in bps, the flat rate in percent, up-front quotes in percent of
-# tranche notional, spread quotes in bps.
+# spreads in bps, the flat rate in percent, quotes in QUOTE_UNITS. A bid or
+# ask defaults to the mid quote; with neither on any tranche there is no band.
+
+_KEYS = {"mid": "quote_value", "bid": "bid_value", "ask": "ask_value"}
+
 
 def _finite(doc, key, default=None):
     """``doc[key]`` as a float (``default`` if given and the key is absent).
@@ -333,37 +371,21 @@ def snapshot_from_dict(doc):
     disc = DiscountCurve(rate=_finite(doc, "rate_pct") / 100.0)
     port = PortfolioSpec(int(doc["n_names"]), _finite(doc, "recovery"))
 
-    tranches, ufs, sps = [], [], []
-    bid_ufs, bid_sps, ask_ufs, ask_sps = [], [], [], []
-    any_bid_ask = False
+    tranches = []
     for td in doc["tranches"]:
         kind = td["quote"]
-        if kind == "upfront":
-            running = _finite(td, "fixed_running_bps", 0.0) / 1e4
-            spec = TrancheSpec(float(td["attach"]), float(td["detach"]), "upfront", running)
-            scale = 1e-2
-            uf_of = lambda v, s=running: (v, s)
-        elif kind == "spread":
-            spec = TrancheSpec(float(td["attach"]), float(td["detach"]), "spread")
-            scale = 1e-4
-            uf_of = lambda v: (0.0, v)
-        else:
+        if kind not in QUOTE_UNITS:
             raise ValueError(f"unknown quote kind {kind!r}")
-        tranches.append(spec)
-        uf, s = uf_of(_finite(td, "quote_value") * scale)
-        ufs.append(uf)
-        sps.append(s)
-        for key, uf_list, sp_list in (("bid_value", bid_ufs, bid_sps),
-                                      ("ask_value", ask_ufs, ask_sps)):
-            if key in td:
-                any_bid_ask = True
-                uf2, s2 = uf_of(_finite(td, key) * scale)
-                uf_list.append(uf2)
-                sp_list.append(s2)
-            else:
-                uf_list.append(uf)
-                sp_list.append(s)
-
+        running = _finite(td, "fixed_running_bps", 0.0) if kind == "upfront" else 0.0
+        tranches.append(TrancheSpec(float(td["attach"]), float(td["detach"]), kind,
+                                    running / 1e4))
+    vectors = {}
+    for side in SIDES:
+        terms = [tr.terms(_finite(td, _KEYS[side], td["quote_value"]) * tr.units.scale)
+                 for tr, td in zip(tranches, doc["tranches"])]
+        vectors[side] = QuoteVector(tuple(uf for uf, _ in terms),
+                                    tuple(s for _, s in terms))
+    banded = any(_KEYS[side] in td for td in doc["tranches"] for side in ("bid", "ask"))
     return MarketSnapshot(
         as_of=str(doc.get("as_of", "")),
         schedule=sched,
@@ -371,9 +393,9 @@ def snapshot_from_dict(doc):
         portfolio=port,
         index_spread=_finite(doc, "index_spread_bps") / 1e4,
         tranches=tuple(tranches),
-        quotes=QuoteVector(tuple(ufs), tuple(sps)),
-        bid=QuoteVector(tuple(bid_ufs), tuple(bid_sps)) if any_bid_ask else None,
-        ask=QuoteVector(tuple(ask_ufs), tuple(ask_sps)) if any_bid_ask else None,
+        quotes=vectors["mid"],
+        bid=vectors["bid"] if banded else None,
+        ask=vectors["ask"] if banded else None,
     )
 
 
@@ -403,14 +425,7 @@ def snapshot_to_dict(snap):
         td = {"attach": tr.attach, "detach": tr.detach, "quote": tr.quote_kind}
         if tr.quote_kind == "upfront":
             td["fixed_running_bps"] = tr.running_spread * 1e4
-            td["quote_value"] = snap.quotes.upfront[l] * 1e2
-            if snap.bid is not None:
-                td["bid_value"] = snap.bid.upfront[l] * 1e2
-                td["ask_value"] = snap.ask.upfront[l] * 1e2
-        else:
-            td["quote_value"] = snap.quotes.spread[l] * 1e4
-            if snap.bid is not None:
-                td["bid_value"] = snap.bid.spread[l] * 1e4
-                td["ask_value"] = snap.ask.spread[l] * 1e4
+        for side in SIDES if snap.bid is not None else ("mid",):
+            td[_KEYS[side]] = snap.quote(l, side) * tr.units.display
         doc["tranches"].append(td)
     return doc

@@ -42,22 +42,14 @@ class IterationLimit(RuntimeError):
     """The resolution sequence was exhausted before the algorithm could decide."""
 
 
-@dataclass(frozen=True)
-class HCoefficients:
-    """Beta-mixture coefficients h_{jk}: P(j defaults of n | generator state k of N).
-
-    Interior columns are Beta-binomial pmfs, C(n,j) B(k+j, N+n-k-j) / B(k, N-k);
-    the k = 0 and k = N columns degenerate to indicators at j = 0 and j = n.
-    """
-
-    h: np.ndarray
-    n: int
-    N: int
-
-
 @lru_cache(maxsize=64)
 def h_matrix(n, N):
-    """h coefficients at pool size n, resolution N, computed in log-gamma space."""
+    """Beta-mixture coefficients h_{jk}: P(j defaults of n | generator state k of N).
+
+    Interior columns are Beta-binomial pmfs, C(n,j) B(k+j, N+n-k-j) / B(k, N-k),
+    computed in log-gamma space; the k = 0 and k = N columns degenerate to
+    indicators at j = 0 and j = n. Returns the read-only (n + 1, N + 1) array.
+    """
     if n < 1 or N < 2:
         raise ValueError("need n >= 1 and N >= 2")
     j = np.arange(n + 1)
@@ -72,14 +64,15 @@ def h_matrix(n, N):
     if col_dev > 1e-10 or mean_dev > 1e-9:
         raise SolverError(f"h identities failed: columns {col_dev:.2e}, means {mean_dev:.2e}")
     h.setflags(write=False)
-    return HCoefficients(h, n, N)
+    return h
 
 
 def qij_from_p(law, h):
     """Mix the generator law p = law.q through h: q_{ij} = sum_k h_{jk} p_{ik}."""
-    if h.N != law.n:
-        raise DimensionMismatch(f"h resolution {h.N} vs law resolution {law.n}")
-    return DPM(law.q @ h.h.T)
+    N = h.shape[1] - 1
+    if N != law.n:
+        raise DimensionMismatch(f"h resolution {N} vs law resolution {law.n}")
+    return DPM(law.q @ h.T)
 
 
 class StrongFeasibilityProblem(_Polytope):
@@ -91,20 +84,19 @@ class StrongFeasibilityProblem(_Polytope):
     def from_snapshot(cls, snapshot, N, priced=None, bid_ask=False):
         if priced is None:
             priced = range(snapshot.n_tranches)
-        return _assemble(cls, snapshot, h_matrix(snapshot.portfolio.n, N).h,
+        return _assemble(cls, snapshot, h_matrix(snapshot.portfolio.n, N),
                          np.arange(N + 1.0), priced, bid_ask)
 
 
 def verify_strong_at_N(snapshot, N):
     """Decide resolution-N strong compatibility; Feasible carries the generator law."""
-    problem = StrongFeasibilityProblem.from_snapshot(snapshot, N)
-    return _verify(snapshot, problem, bid_ask=False)
+    return _verify(snapshot, StrongFeasibilityProblem.from_snapshot(snapshot, N))
 
 
 def verify_strong_bid_ask(snapshot, N):
     """Strong compatibility against two-sided quotes at resolution N."""
     problem = StrongFeasibilityProblem.from_snapshot(snapshot, N, bid_ask=True)
-    return _verify(snapshot, problem, bid_ask=True)
+    return _verify(snapshot, problem)
 
 
 def range_at_N(snapshot, fixed, target, N):
@@ -195,10 +187,9 @@ def iterative_verify(snapshot, N_sequence=DEFAULT_N_SEQUENCE):
     history = []
     accepted = N_sequence[0]
     for l, tranche in enumerate(snapshot.tranches):
-        if tranche.quote_kind == "upfront":
-            quote, eps = snapshot.quotes.upfront[l], DEFAULT_EPS_UPFRONT
-        else:
-            quote, eps = snapshot.quotes.spread[l], DEFAULT_EPS_SPREAD
+        quote = snapshot.quote(l)
+        eps = (DEFAULT_EPS_UPFRONT if tranche.quote_kind == "upfront"
+               else DEFAULT_EPS_SPREAD)
         bound = _weak_bound(snapshot, l) if weakly_incompatible else None
         if bound is not None and not bound[0] - eps <= quote <= bound[1] + eps:
             return IterativeResult(False, None, None, l, "weak_bound", history,
@@ -241,7 +232,7 @@ def nonstandard_names_bounds(snapshot, N, n_names, attach, detach, quote_kind,
     problem = StrongFeasibilityProblem.from_snapshot(snapshot, N)
     pool = PortfolioSpec(int(n_names), snapshot.portfolio.recovery)
     return _bounds(snapshot, problem, target,
-                   h_matrix(pool.n, N).h.T @ beta_coeffs(target, pool))
+                   h_matrix(pool.n, N).T @ beta_coeffs(target, pool))
 
 
 # The generator sampler and the gamma distortion.

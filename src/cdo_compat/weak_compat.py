@@ -113,14 +113,6 @@ def kink_states(portfolio, tranches):
     return np.unique(np.concatenate([[0, n], np.floor(x), np.ceil(x)]).astype(int))
 
 
-def _check_not_crossed(tranche, bid, ask, l):
-    if tranche.quote_kind == "upfront":
-        if bid.upfront[l] > ask.upfront[l]:
-            raise InvalidQuotes(f"crossed up-front quotes on tranche {l}")
-    elif bid.spread[l] > ask.spread[l]:
-        raise InvalidQuotes(f"crossed spread quotes on tranche {l}")
-
-
 def _quote_constraints(snapshot, priced, bid_ask):
     """``(coeffs, side)`` per quote constraint on the seller value v.
 
@@ -128,19 +120,16 @@ def _quote_constraints(snapshot, priced, bid_ask):
     bid/ask band gives two rows with side * v <= 0: side -1 keeps v >= 0
     at the bid, side +1 keeps v <= 0 at the ask.
     """
-    if not bid_ask:
-        return [(TrancheCoefficients.from_snapshot(snapshot, l), 0) for l in priced]
-    bid, ask = snapshot.bid, snapshot.ask
-    if bid is None or ask is None:
+    if bid_ask and (snapshot.bid is None or snapshot.ask is None):
         raise InvalidQuotes("snapshot carries no bid/ask quotes")
     out = []
     for l in priced:
         tr = snapshot.tranches[l]
-        _check_not_crossed(tr, bid, ask, l)
-        out.append((TrancheCoefficients.build(tr, bid.upfront[l], bid.spread[l],
-                                              snapshot), -1))
-        out.append((TrancheCoefficients.build(tr, ask.upfront[l], ask.spread[l],
-                                              snapshot), 1))
+        if bid_ask and snapshot.quote(l, "bid") > snapshot.quote(l, "ask"):
+            raise InvalidQuotes(f"crossed {tr.units.noun} quotes on tranche {l}")
+        for side, sign in (("bid", -1), ("ask", 1)) if bid_ask else (("mid", 0),):
+            out.append((TrancheCoefficients.build(
+                tr, *tr.terms(snapshot.quote(l, side)), snapshot), sign))
     return out
 
 
@@ -270,7 +259,7 @@ class Verdict:
         return self.status is SolveStatus.FEASIBLE
 
 
-def _largest_slack(snapshot, slack, bid_ask):
+def _largest_slack(snapshot, slack, bands):
     """The quote constraint with the largest slack, in its quote's units.
 
     Up-front quotes move gamma by the width per unit, so the slack over the
@@ -279,7 +268,7 @@ def _largest_slack(snapshot, slack, bid_ask):
     lower bound.
     """
     i = int(np.argmax(np.abs(slack)))
-    l, side = (i // 2, ("bid", "ask")[i % 2]) if bid_ask else (i, "quote")
+    l, side = (i // 2, ("bid", "ask")[i % 2]) if bands else (i, "quote")
     tranche, v = snapshot.tranches[l], slack[i]
     upfront = tranche.quote_kind == "upfront"
     unit = gamma_coeff(tranche, float(upfront), float(not upfront),
@@ -290,7 +279,7 @@ def _largest_slack(snapshot, slack, bid_ask):
             f"{'low' if v > 0 else 'high'} by {size}")
 
 
-def _verify(snapshot, problem, bid_ask):
+def _verify(snapshot, problem):
     """Decide with the elastic LP in path form and check its law as a certificate.
 
     `opt_backend.solve_path_elastic` gives each quote row a slack and
@@ -298,8 +287,8 @@ def _verify(snapshot, problem, bid_ask):
     that needs more than FEASIBILITY_TOL of slack is the "no", which carries
     a checked lower bound on that total. Returns the `Verdict`. The law is
     repaired, validated, mapped onto q = p H' and repriced against every
-    quote; one that fails validation or misses a quote by more than
-    FEASIBILITY_TOL is a solver failure, never a verdict.
+    quote constraint of ``problem``; one that fails validation or misses a
+    quote by more than FEASIBILITY_TOL is a solver failure, never a verdict.
     """
     rows, rhs = problem.path_rows()
     res = opt_backend.solve_path_elastic(rows, rhs, [side for _, side in problem.quotes])
@@ -310,9 +299,9 @@ def _verify(snapshot, problem, bid_ask):
         bound = res.extra["bound"]
         return Verdict(SolveStatus.INFEASIBLE, None, (
             f"no law prices every quote: total slack {res.objective:.3e} (checked "
-            f"lower bound {bound:.3e}); {_largest_slack(snapshot, slack, bid_ask)}"),
+            f"lower bound {bound:.3e}); "
+            f"{_largest_slack(snapshot, slack, problem.bands)}"),
             slack, bound)
-    constraints = _quote_constraints(snapshot, range(snapshot.n_tranches), bid_ask)
     try:
         law = DPM(repair_structure(res.x.reshape(problem.m, -1)))
         dpm = DPM(law.q @ problem.H.T)
@@ -320,28 +309,27 @@ def _verify(snapshot, problem, bid_ask):
         return Verdict(SolveStatus.NUMERICAL_FAILURE, None,
                        f"solution failed validation: {exc}", None)
     worst = 0.0
-    for coeffs, side in constraints:
+    for coeffs, side in problem.quotes:
         v = expected_npv(dpm, coeffs)
         worst = max(worst, side * v if side else abs(v))
     if worst > opt_backend.FEASIBILITY_TOL:
-        what = "violates a quote band" if bid_ask else "misprices a tranche"
+        what = "violates a quote band" if problem.bands else "misprices a tranche"
         return Verdict(SolveStatus.NUMERICAL_FAILURE, None,
                        f"solution {what} by {worst:.3e}", None)
-    what = "band violation" if bid_ask else "repricing error"
+    what = "band violation" if problem.bands else "repricing error"
     return Verdict(SolveStatus.FEASIBLE, law if problem.generator else dpm,
                    f"{res.message}; worst {what} {worst:.3e}", slack)
 
 
 def verify_weak(snapshot):
     """Decide weak compatibility; a Feasible result carries a certifying DPM."""
-    problem = WeakFeasibilityProblem.from_snapshot(snapshot)
-    return _verify(snapshot, problem, bid_ask=False)
+    return _verify(snapshot, WeakFeasibilityProblem.from_snapshot(snapshot))
 
 
 def verify_weak_bid_ask(snapshot):
     """Weak compatibility with two-sided quotes: v(bid) >= 0 >= v(ask) per tranche."""
     problem = WeakFeasibilityProblem.from_snapshot(snapshot, bid_ask=True)
-    return _verify(snapshot, problem, bid_ask=True)
+    return _verify(snapshot, problem)
 
 
 def _target(attach, detach, quote_kind, fixed_running):
@@ -358,20 +346,19 @@ def _bounds(snapshot, problem, target, loss):
     affine forms in the law; for an up-front quote the denominator is the
     width. Both ends are solved in path form by
     `opt_backend.solve_path_lfp`, which never builds the monotonicity rows.
-    Its phase 1 decides whether any law prices the problem's quotes: one
-    that needs more than FEASIBILITY_TOL of slack raises InfeasibleRegion. A
-    master that fails raises SolverError, so a solver's failure is never
-    reported as an empty polytope, and a denominator that can reach zero
-    raises UnboundedRatio.
+    Its phase 1 decides whether any law prices the problem's quotes; its
+    "no" raises InfeasibleRegion only once `opt_backend.solve_path_elastic`
+    on the same rows proves it with a checked bound. Any other failure
+    raises SolverError, so a solver's failure is never reported as an empty
+    polytope, and a denominator that can reach zero raises UnboundedRatio.
     """
     sched, disc = snapshot.schedule, snapshot.discount
-    upfront = target.quote_kind == "upfront"
 
     def value(x):
         """(lambda, gamma) of the target at quote x."""
-        spread = target.running_spread if upfront else x
+        upfront, spread = target.terms(x)
         return (lambda_coeffs(spread, sched, disc),
-                gamma_coeff(target, x if upfront else 0.0, spread, sched, disc))
+                gamma_coeff(target, upfront, spread, sched, disc))
     (lam0, gamma0), (lam1, gamma1) = value(0.0), value(1.0)
     rows, rhs = problem.path_rows()
     try:
@@ -380,10 +367,15 @@ def _bounds(snapshot, problem, target, loss):
             np.outer(lam0 - lam1, loss), gamma1 - gamma0)
     except DegenerateDenominator as exc:
         raise UnboundedRatio(str(exc)) from exc
+    if ends[0].status is SolveStatus.INFEASIBLE:
+        proof = opt_backend.solve_path_elastic(rows, rhs, np.zeros(problem.n_quotes))
+        if proof.status is not SolveStatus.INFEASIBLE:
+            raise SolverError(f"bound phase 1 found no law, but the elastic LP "
+                              f"did not confirm it: {proof.status.value}: "
+                              f"{proof.message}")
+        law = "generator" if problem.generator else "DPM"
+        raise InfeasibleRegion(f"the constrained {law} polytope is empty")
     for res in ends:
-        if res.status is SolveStatus.INFEASIBLE:
-            law = "generator" if problem.generator else "DPM"
-            raise InfeasibleRegion(f"the constrained {law} polytope is empty")
         if res.status is not SolveStatus.OPTIMAL:
             raise SolverError(f"bound solve failed: {res.status.value}: {res.message}")
     return tuple(res.objective for res in ends)

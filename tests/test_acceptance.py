@@ -237,12 +237,12 @@ def test_criterion_6_property_suite(snapshot, curve, weak_result, strong_100):
     # beta-binomial Monte Carlo
     for n in (1, 5, 125):
         for N in (2, 10, 100):
-            h = h_matrix(n, N).h
+            h = h_matrix(n, N)
             assert np.max(np.abs(h.sum(axis=0) - 1.0)) <= 1e-9
             assert np.max(np.abs(np.arange(n + 1) @ h
                                  - n * np.arange(N + 1) / N)) <= 1e-9
     rng = np.random.default_rng(BETA_BINOMIAL_SEED)
-    col = h_matrix(5, 10).h[:, 3]
+    col = h_matrix(5, 10)[:, 3]
     bb_draws = 10_000_000
     x = rng.binomial(5, rng.beta(3, 7, size=bb_draws))
     bb_hat = np.bincount(x, minlength=6) / bb_draws

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdo_compat.market_model import (DiscountCurve, InvalidRecovery,
-                                     MarginalDefaultCurve, NoRoot,
-                                     PaymentSchedule, PortfolioSpec,
+from cdo_compat.market_model import (QUOTE_UNITS, SIDES, DiscountCurve,
+                                     InvalidRecovery, MarginalDefaultCurve,
+                                     NoRoot, PaymentSchedule, PortfolioSpec,
                                      TrancheSpec, calibrate_hazard,
                                      cds_value_change, implied_index_spread,
                                      load_snapshot, pv01, snapshot_from_dict,
@@ -191,3 +191,62 @@ def test_snapshot_with_bands(tmp_path):
     assert snap.bid is not None and snap.ask is not None
     assert snap.bid.upfront[0] == pytest.approx(0.282)
     assert snap.ask.spread[1] == pytest.approx(41e-4)
+
+
+def _with_bands(snapshot, bands):
+    raw = snapshot_to_dict(snapshot)
+    for l, band in bands.items():
+        raw["tranches"][l].update(band)
+    return snapshot_from_dict(raw)
+
+
+BANDS = {0: {"bid_value": 28.2, "ask_value": 28.7},
+         1: {"bid_value": 4.3, "ask_value": 4.8},
+         2: {"bid_value": 105.0, "ask_value": 108.0},
+         3: {"bid_value": 27.0, "ask_value": 28.0}}
+
+
+def test_terms_and_quote_follow_each_kind_and_side(snapshot):
+    upfront, spread = snapshot.tranches[0], snapshot.tranches[2]
+    assert upfront.terms(0.25) == (0.25, 0.01)
+    assert spread.terms(0.0125) == (0.0, 0.0125)
+    assert (upfront.units, spread.units) == (QUOTE_UNITS["upfront"],
+                                             QUOTE_UNITS["spread"])
+    assert QUOTE_UNITS["upfront"][:3] == (1e-2, 1e2, "pct")
+    assert QUOTE_UNITS["spread"][:3] == (1e-4, 1e4, "bps")
+    banded = _with_bands(snapshot, BANDS)
+    display = {"mid": (28.438, 106.32), "bid": (28.2, 105.0), "ask": (28.7, 108.0)}
+    for side in SIDES:
+        vector = {"mid": banded.quotes, "bid": banded.bid, "ask": banded.ask}[side]
+        up_quote, spread_quote = display[side]
+        assert banded.quote(0, side) == vector.upfront[0] == up_quote * 1e-2
+        assert banded.quote(2, side) == vector.spread[2] == spread_quote * 1e-4
+        # the vector holds each quote's terms
+        assert (vector.upfront[0], vector.spread[0]) == upfront.terms(up_quote * 1e-2)
+        assert (vector.upfront[2], vector.spread[2]) == spread.terms(spread_quote * 1e-4)
+    assert snapshot.quote(3) == snapshot.quotes.spread[3]
+
+
+def test_a_banded_snapshot_survives_the_round_trip(snapshot):
+    banded = _with_bands(snapshot, BANDS)
+    again = snapshot_from_dict(snapshot_to_dict(banded))
+    assert again.tranches == banded.tranches
+    assert again.bid is not None and again.ask is not None
+    for side in SIDES:
+        for l in range(banded.n_tranches):
+            # display and back multiplies by 1e4 and 1e-4 (1e2 and 1e-2),
+            # which are not exact inverses in binary: one ulp at most
+            assert again.quote(l, side) == pytest.approx(banded.quote(l, side),
+                                                         rel=2.3e-16, abs=0)
+    doc = snapshot_to_dict(banded)
+    assert [sorted(td) for td in doc["tranches"]] == [
+        sorted(td) for td in snapshot_to_dict(again)["tranches"]]
+    assert doc["tranches"][0]["bid_value"] == pytest.approx(28.2, rel=1e-15)
+
+
+def test_a_one_sided_band_takes_the_mid_on_its_other_side(snapshot):
+    banded = _with_bands(snapshot, {0: {"bid_value": 28.2}})
+    assert banded.quote(0, "bid") == 28.2 * 1e-2
+    assert banded.ask == banded.quotes
+    assert [banded.quote(l, "bid") for l in range(1, 4)] == [
+        banded.quote(l) for l in range(1, 4)]

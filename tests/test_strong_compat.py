@@ -37,7 +37,7 @@ def _toy_law():
 def test_h_identities_hold_across_sizes():
     for n in (1, 5, 10):
         for N in (2, 10, 50):
-            h = h_matrix(n, N).h
+            h = h_matrix(n, N)
             np.testing.assert_allclose(h.sum(axis=0), 1.0, atol=1e-10)
             np.testing.assert_allclose(np.arange(n + 1) @ h,
                                        n * np.arange(N + 1) / N, atol=1e-9)
@@ -46,7 +46,7 @@ def test_h_identities_hold_across_sizes():
 
 
 def test_single_name_h_is_linear():
-    h = h_matrix(1, 8).h
+    h = h_matrix(1, 8)
     np.testing.assert_allclose(h[1], np.arange(9) / 8.0, atol=1e-12)
 
 
@@ -54,7 +54,7 @@ def test_h_matrix_is_cached_and_write_protected():
     a = h_matrix(5, 10)
     assert h_matrix(5, 10) is a
     with pytest.raises(ValueError):
-        a.h[0, 0] = 2.0
+        a[0, 0] = 2.0
 
 
 def test_mixing_yields_a_valid_dpm_with_scaled_means():
@@ -233,8 +233,8 @@ def _lift_kernel(N, M):
 
 @pytest.mark.parametrize("n, N, M", [(125, 50, 75), (125, 50, 100), (5, 10, 13)])
 def test_h_at_N_is_h_at_a_larger_M_through_the_lift_kernel(n, N, M):
-    np.testing.assert_allclose(h_matrix(n, M).h @ _lift_kernel(N, M),
-                               h_matrix(n, N).h, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(h_matrix(n, M) @ _lift_kernel(N, M),
+                               h_matrix(n, N), rtol=0, atol=1e-12)
 
 
 def test_a_strong_law_lifts_to_a_larger_N_with_the_same_q(snapshot):

@@ -136,6 +136,20 @@ def test_crossed_bands_raise(snapshot):
 
 @pytest.mark.parametrize("verify", [
     pytest.param(verify_weak_bid_ask, id="weak"),
+    pytest.param(lambda snap: verify_strong_bid_ask(snap, 50), id="strong"),
+])
+@pytest.mark.parametrize("l, band, noun", [
+    (0, (28.7, 28.2), "up-front"),
+    (2, (108.0, 105.0), "spread"),
+])
+def test_a_crossed_band_names_its_kind_and_tranche(snapshot, verify, l, band, noun):
+    bands = {0: (28.2, 28.7), 1: (4.3, 4.8), 2: (105.0, 108.0), 3: (27.0, 28.0)}
+    with pytest.raises(InvalidQuotes, match=f"^crossed {noun} quotes on tranche {l}$"):
+        verify(_banded(snapshot, {**bands, l: band}))
+
+
+@pytest.mark.parametrize("verify", [
+    pytest.param(verify_weak_bid_ask, id="weak"),
     # strong laws map into the weak polytope, so the bands conflict there too
     pytest.param(lambda snap: verify_strong_bid_ask(snap, 50), id="strong"),
 ])
@@ -342,6 +356,24 @@ def test_the_torn_snapshot_is_empty_in_path_form(snapshot, monkeypatch, kind):
     assert lps == []
 
 
+@pytest.mark.parametrize("bound", [
+    lambda snap: nonstandard_tranche_bounds(snap, 0.04, 0.08, "upfront",
+                                            fixed_running=0.01),
+    lambda snap: range_at_N(snap, [1, 2, 3], 0, 50),
+], ids=["tranche", "range"])
+def test_an_unchecked_empty_region_is_a_solver_failure(snapshot, monkeypatch, bound):
+    # a bound's phase 1 that says "no law" on the fixture, whose polytope is
+    # not empty: the elastic LP on the same rows does not confirm it, so no
+    # InfeasibleRegion is raised
+    def lying(*args):
+        res = opt_backend.SolveResult(SolveStatus.INFEASIBLE,
+                                      message="no path mixture meets the rows")
+        return res, res
+    monkeypatch.setattr(opt_backend, "solve_path_lfp", lying)
+    with pytest.raises(SolverError, match="did not confirm it: feasible"):
+        bound(snapshot)
+
+
 @pytest.mark.parametrize("phase", ["phase-1", "phase-2"])
 @pytest.mark.parametrize("kind", ["upfront", "spread"])
 def test_a_master_that_ends_non_optimal_is_a_solver_failure(snapshot, monkeypatch,
@@ -474,7 +506,7 @@ def _weak_answers(snapshot, problem, targets):
     """
     out = []
     for bid_ask in (False, True) if snapshot.bid is not None else (False,):
-        verdict = _verify(snapshot, problem(snapshot, bid_ask, None), bid_ask)
+        verdict = _verify(snapshot, problem(snapshot, bid_ask, None))
         out.append((verdict.status, None if verdict.slack is None
                     else float(np.abs(verdict.slack).sum())))
     for target in targets:
@@ -587,7 +619,7 @@ def test_path_form_verdicts_agree_with_the_full_elastic_lp(case, N, bands):
     bid_ask = bands and snapshot.bid is not None
     problem = (WeakFeasibilityProblem.from_snapshot(snapshot, bid_ask) if N is None
                else StrongFeasibilityProblem.from_snapshot(snapshot, N, bid_ask=bid_ask))
-    verdict = _verify(snapshot, problem, bid_ask)
+    verdict = _verify(snapshot, problem)
     ref = solve_lp(full_elastic_lp(problem))
     n, k = problem.A_eq.shape[1], problem.n_quotes
     slack = ref.x[n:] if bid_ask else ref.x[n:n + k] - ref.x[n + k:]
